@@ -20,7 +20,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -50,8 +49,6 @@ EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_DIVERGED = 4
 EXIT_ARCHIVE = 5
-
-WORKERS_ENV = "EDGEDIAG_WORKERS"
 
 VARIANT_NAMES = {
     "proposed": "proposed",
@@ -256,22 +253,18 @@ def _run_seed(cfg: ExperimentConfig, seed: int, out_dir: str) -> dict:
     return result
 
 
-def run_grid(cfg: ExperimentConfig, seeds, out_dir, bench: bool = False, workers: int = 1):
+def run_grid(cfg: ExperimentConfig, seeds, out_dir, bench: bool = False):
     """Run gen/train/transfer/eval for every (seed, variant); write summaries.
 
-    Returns {variant: [accuracy per seed]} in seed order. Each worker
-    runs a complete independent pipeline; file trees are disjoint per
-    seed so the output does not depend on the worker count.
+    Returns {variant: [accuracy per seed]} in seed order. Seeds run one
+    after another, each as a complete independent pipeline writing its
+    own files.
     """
     _echo_config(cfg, out_dir)
     for sub in ("weights", "metrics", "reports", "timings"):
         _ensure_dir(os.path.join(out_dir, sub))
     seeds = list(seeds)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(lambda s: _run_seed(cfg, s, out_dir), seeds))
-    else:
-        results = [_run_seed(cfg, s, out_dir) for s in seeds]
+    results = [_run_seed(cfg, s, out_dir) for s in seeds]
 
     accuracies = {v: [r[v] for r in results] for v in VARIANT_NAMES.values()}
     with open(os.path.join(out_dir, "reports", "accuracy.jsonl"), "w", encoding="utf-8") as fh:
@@ -311,8 +304,7 @@ def run_grid(cfg: ExperimentConfig, seeds, out_dir, bench: bool = False, workers
 def cmd_reproduce(args) -> int:
     cfg = ExperimentConfig.from_file(args.config)
     seeds = [cfg["run.seed"] + i for i in range(args.seeds)]
-    workers = args.workers or int(os.environ.get(WORKERS_ENV, "1"))
-    accuracies = run_grid(cfg, seeds, args.out, bench=args.bench, workers=max(1, workers))
+    accuracies = run_grid(cfg, seeds, args.out, bench=args.bench)
     with open(os.path.join(args.out, "reports", "summary.txt"), encoding="utf-8") as fh:
         print(fh.read().rstrip())
     proposed = float(np.mean(accuracies["proposed"]))
@@ -388,8 +380,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seeds", type=int, default=5)
     p.add_argument("--out", required=True)
     p.add_argument("--bench", action="store_true", help="also measure latency")
-    p.add_argument("--workers", type=int, default=None,
-                   help=f"parallel seed pipelines (default ${WORKERS_ENV} or 1)")
     p.set_defaults(fn=cmd_reproduce, stage="reproduce")
 
     p = sub.add_parser("default-config", help="print the documented default config")

@@ -126,7 +126,10 @@ def dense_stats(layer: DenseLayer) -> tuple:
 
 
 def analyze(model, input_shape: Optional[tuple] = None) -> ModelStats:
-    """Per-layer params / activation memory / FLOPs at batch size 1."""
+    """Per-layer params / activation memory / FLOPs at batch size 1.
+
+    One row per op of the model's traced forward (``model.architecture``).
+    """
     arch = model.architecture(input_shape)
     stats = ModelStats(
         model_kind=model.kind,

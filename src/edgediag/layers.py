@@ -19,7 +19,7 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from .tensor import ShapeError, Tensor, custom_op, tmean
+from .tensor import ShapeError, Tensor, add, custom_op, label, relu, tmean
 
 __all__ = [
     "BuildError",
@@ -247,7 +247,7 @@ class Conv2dLayer:
             return grads
 
         inputs = (x, self.weight) + ((bias_t,) if bias_t is not None else ())
-        return custom_op("conv2d", inputs, out, bwd)
+        return label(custom_op("conv2d", inputs, out, bwd), self.name, self)
 
 
 # ---------------------------------------------------------------------------
@@ -323,7 +323,6 @@ class BatchNormLayer:
             dbeta = np.sum(g, axis=(0, 2, 3))
             dxn = g * gamma64.reshape(1, -1, 1, 1)
             if train_stats:
-                cnt = g.shape[0] * g.shape[2] * g.shape[3]
                 dx = (
                     invstd.reshape(1, -1, 1, 1)
                     * (
@@ -332,12 +331,13 @@ class BatchNormLayer:
                         - xn * (dxn * xn).mean(axis=(0, 2, 3), keepdims=True)
                     )
                 )
-                del cnt
             else:
                 dx = dxn * invstd.reshape(1, -1, 1, 1)
             return dx, dgamma, dbeta
 
-        return custom_op("batchnorm", (x, self.gamma, self.beta), out, bwd)
+        return label(
+            custom_op("batchnorm", (x, self.gamma, self.beta), out, bwd), self.name, self
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -388,7 +388,7 @@ class DenseLayer:
             return grads
 
         inputs = (x, self.weight) + ((bias_t,) if bias_t is not None else ())
-        return custom_op("dense", inputs, out, bwd)
+        return label(custom_op("dense", inputs, out, bwd), self.name, self)
 
 
 # ---------------------------------------------------------------------------
@@ -418,18 +418,15 @@ class DepthwiseSeparableBlock:
             store, name + ".pw", in_channels, out_channels, 1, rng=rng
         )
         self.pw_bn = BatchNormLayer(store, name + ".pw_bn", out_channels)
+        self._dw_relu = name + ".dw_relu"
+        self._pw_relu = name + ".pw_relu"
 
     def forward(self, x: Tensor) -> Tensor:
-        from .tensor import relu
-
-        h = relu(self.dw_bn.forward(self.depthwise.forward(x)))
-        return relu(self.pw_bn.forward(self.pointwise.forward(h)))
+        h = label(relu(self.dw_bn.forward(self.depthwise.forward(x))), self._dw_relu)
+        return label(relu(self.pw_bn.forward(self.pointwise.forward(h))), self._pw_relu)
 
     def bn_layers(self):
         return [self.dw_bn, self.pw_bn]
-
-    def out_shape(self, in_shape) -> tuple:
-        return self.pointwise.out_shape(self.depthwise.out_shape(in_shape))
 
 
 class ResidualBlock:
@@ -473,23 +470,21 @@ class ResidualBlock:
         else:
             self.proj = None
             self.proj_bn = None
+        self._relu1 = name + ".relu1"
+        self._add = name + ".add"
+        self._relu2 = name + ".relu2"
 
     def forward(self, x: Tensor) -> Tensor:
-        from .tensor import add, relu
-
-        h = relu(self.bn1.forward(self.conv1.forward(x)))
+        h = label(relu(self.bn1.forward(self.conv1.forward(x))), self._relu1)
         h = self.bn2.forward(self.conv2.forward(h))
         sc = x if self.proj is None else self.proj_bn.forward(self.proj.forward(x))
-        return relu(add(h, sc))
+        return label(relu(label(add(h, sc), self._add)), self._relu2)
 
     def bn_layers(self):
         bns = [self.bn1, self.bn2]
         if self.proj_bn is not None:
             bns.append(self.proj_bn)
         return bns
-
-    def out_shape(self, in_shape) -> tuple:
-        return self.conv2.out_shape(self.conv1.out_shape(in_shape))
 
 
 def global_avg_pool(x: Tensor) -> Tensor:

@@ -39,12 +39,10 @@ __all__ = [
     "AdaptiveWeights",
     "SmoothingConfig",
     "lmmd",
-    "smooth",
     "smoothed_cross_entropy",
     "adaptive_weights",
     "weights_from_norms",
     "in_weighted_phase",
-    "total_loss",
 ]
 
 LOG_FLOOR = 1e-12
@@ -240,32 +238,12 @@ def _check_rows_stochastic(rows: np.ndarray, what: str) -> None:
         raise ValueError(f"{what} rows must sum to 1 (worst error {err:.3g})")
 
 
-def smooth(dist, cfg: SmoothingConfig):
-    """(1-eps) * dist + eps/K, applied to label rows and prediction rows alike."""
-    cfg.validate()
-    rows = _as_array(dist)
-    _check_rows_stochastic(rows, "smooth input")
-    if rows.shape[1] != cfg.num_classes:
-        raise ValueError(
-            f"smooth: {rows.shape[1]} columns but num_classes={cfg.num_classes}"
-        )
-    out = (1.0 - cfg.epsilon) * rows + cfg.epsilon / cfg.num_classes
-    if not isinstance(dist, Tensor):
-        return out
-
-    keep = 1.0 - cfg.epsilon
-
-    def bwd(g):
-        return (g * keep,)
-
-    return custom_op("smooth", (dist,), out, bwd)
-
-
 def smoothed_cross_entropy(logits, labels_onehot, cfg: SmoothingConfig):
     """Mean over the batch of -sum_k smooth(label)_k * log(smooth(softmax(logits))_k).
 
-    Both the prediction and the label rows are smoothed; the log input
-    is clamped at 1e-12. Differentiates w.r.t. the logits only.
+    smooth(r) = (1-eps) * r + eps/K is applied to the prediction and the
+    label rows alike; the log input is clamped at 1e-12. Differentiates
+    w.r.t. the logits only.
     """
     cfg.validate()
     z = _as_array(logits)
@@ -303,7 +281,7 @@ def smoothed_cross_entropy(logits, labels_onehot, cfg: SmoothingConfig):
 
 
 # ---------------------------------------------------------------------------
-# adaptive weighting and the total objective
+# adaptive weighting and the epoch schedule
 
 def weights_from_norms(
     l_a: float, l_b: float, w_a: float, w_b: float, delta: float = 1e-8
@@ -344,16 +322,3 @@ def in_weighted_phase(epoch: int, num_epoch: int) -> bool:
         raise ValueError(f"epoch must be in 1..{num_epoch}, got {epoch}")
     return 10 * int(epoch) <= 9 * int(num_epoch)
 
-
-def total_loss(
-    epoch: int, num_epoch: int, weights: AdaptiveWeights, terms: LossTerms
-) -> float:
-    """Epoch-gated objective: weighted sum early, classification-only late.
-
-    alpha and beta are constants for backpropagation; the training loop
-    applies them to the per-loss gradients rather than re-deriving them.
-    """
-    terms.validate()
-    if in_weighted_phase(epoch, num_epoch):
-        return weights.alpha * terms.loss_feature + weights.beta * terms.loss_classify
-    return terms.loss_classify

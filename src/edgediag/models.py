@@ -31,7 +31,7 @@ from .layers import (
     ResidualBlock,
     global_avg_pool,
 )
-from .tensor import Tensor, relu
+from .tensor import Tape, Tensor, label, relu
 
 __all__ = [
     "ModelConfig",
@@ -44,6 +44,17 @@ __all__ = [
 ]
 
 PRE_FE_PREFIX = "pre_fe."
+
+# tape op -> ArchEntry kind; an op missing here keeps its own name and
+# the analyzer rejects it
+_OP_KINDS = {
+    "conv2d": "conv",
+    "batchnorm": "bn",
+    "relu": "relu",
+    "add": "add",
+    "mean": "gap",
+    "dense": "dense",
+}
 
 
 @dataclass(frozen=True)
@@ -85,7 +96,11 @@ class ModelConfig:
 
 @dataclass
 class ArchEntry:
-    """One atomic op of a model's forward pass, for complexity analysis."""
+    """One atomic op of a model's forward pass, for complexity analysis.
+
+    Built from one entry of a traced forward (see ``architecture``);
+    ``layer`` is the Conv2d/BatchNorm/Dense layer that ran the op, if any.
+    """
 
     name: str
     kind: str  # conv | bn | relu | add | gap | dense
@@ -98,19 +113,21 @@ class _PreFE:
     def __init__(self, store: ParamStore, config: ModelConfig, rng: np.random.Generator):
         self.convs: List[Conv2dLayer] = []
         self.bns: List[BatchNormLayer] = []
+        self.relu_names: List[str] = []
         in_c = config.input_shape[0]
         for i, width in enumerate(config.pre_fe_channels, start=1):
             self.convs.append(
                 Conv2dLayer(store, f"pre_fe.conv{i}", in_c, int(width), 3, padding=1, rng=rng)
             )
             self.bns.append(BatchNormLayer(store, f"pre_fe.bn{i}", int(width)))
+            self.relu_names.append(f"pre_fe.relu{i}")
             in_c = int(width)
         self.out_channels = in_c
 
     def forward(self, x: Tensor) -> Tensor:
         h = x
-        for conv, bn in zip(self.convs, self.bns):
-            h = relu(bn.forward(conv.forward(h)))
+        for conv, bn, name in zip(self.convs, self.bns, self.relu_names):
+            h = label(relu(bn.forward(conv.forward(h))), name)
         return h
 
 
@@ -118,6 +135,7 @@ class _Model:
     """Shared behavior of both networks, keyed off a ParamStore."""
 
     kind = ""
+    _pos_name = ""  # name prefix of the posterior block
 
     def __init__(self, config: ModelConfig, seed: int):
         config.validate()
@@ -126,6 +144,8 @@ class _Model:
         self.store = ParamStore()
         self._rng = np.random.default_rng(seed)
         self.pre_fe = _PreFE(self.store, config, self._rng)
+        self._gap_name = self._pos_name + ".gap"
+        self._proj_relu_name = self._pos_name + ".proj_relu"
 
     # subclasses populate these
     proj: DenseLayer
@@ -144,8 +164,8 @@ class _Model:
         return self.pre_fe.forward(x)
 
     def features_from_pre_fe(self, h: Tensor) -> Tensor:
-        h = self._pos_fe_forward(h)
-        return relu(self.proj.forward(global_avg_pool(h)))
+        pooled = label(global_avg_pool(self._pos_fe_forward(h)), self._gap_name)
+        return label(relu(self.proj.forward(pooled)), self._proj_relu_name)
 
     def forward_features(self, x: Tensor) -> Tensor:
         """Pooled feature vector [N, feature_dim]; the alignment target."""
@@ -160,33 +180,37 @@ class _Model:
     # --- structure description -------------------------------------------
 
     def architecture(self, input_shape: Optional[tuple] = None) -> List[ArchEntry]:
-        entries: List[ArchEntry] = []
+        """The ops of one batch-1, eval-mode forward pass, traced on a tape.
+
+        Every non-leaf tape entry becomes one ArchEntry, in execution
+        order, with per-sample shapes. Batch-norm training flags are
+        restored afterwards; eval mode leaves parameters and running
+        statistics untouched. No other tape may be active on the thread.
+        """
         shape = tuple(int(s) for s in (input_shape or self.config.input_shape))
         if len(shape) != 3 or shape[0] != self.config.input_shape[0]:
             raise BuildError(f"input shape {shape} does not match the model's channel count")
-        for i, (conv, bn) in enumerate(zip(self.pre_fe.convs, self.pre_fe.bns), start=1):
-            out = conv.out_shape(shape)
-            entries.append(ArchEntry(conv.name, "conv", shape, out, conv))
-            entries.append(ArchEntry(bn.name, "bn", out, out, bn))
-            entries.append(ArchEntry(f"pre_fe.relu{i}", "relu", out, out))
-            shape = out
-        shape = self._pos_fe_architecture(entries, shape)
-        pooled = (shape[0],)
-        entries.append(ArchEntry(self._pos_name + ".gap", "gap", shape, pooled))
-        feat = (self.config.feature_dim,)
-        entries.append(ArchEntry(self.proj.name, "dense", pooled, feat, self.proj))
-        entries.append(ArchEntry(self._pos_name + ".proj_relu", "relu", feat, feat))
-        logits = (self.config.num_classes,)
-        entries.append(ArchEntry(self.classifier.name, "dense", feat, logits, self.classifier))
-        return entries
+        bns = self.bn_layers()
+        flags = [bn.training for bn in bns]
+        self.set_training(False)
+        try:
+            with Tape() as tape:
+                self.forward_logits(Tensor(np.zeros((1, *shape)), requires_grad=True))
+        finally:
+            for bn, flag in zip(bns, flags):
+                bn.training = flag
+        entries = tape.entries
+        return [
+            ArchEntry(e.name, _OP_KINDS.get(e.op, e.op), entries[e.inputs[0]].shape[1:],
+                      e.shape[1:], e.layer)
+            for e in entries
+            if e.op != "leaf"
+        ]
 
     def _pos_fe_bns(self) -> list:
         raise NotImplementedError
 
     def _pos_fe_forward(self, h: Tensor) -> Tensor:
-        raise NotImplementedError
-
-    def _pos_fe_architecture(self, entries, shape) -> tuple:
         raise NotImplementedError
 
 
@@ -229,24 +253,6 @@ class CModel(_Model):
                 h = b.forward(h)
         return h
 
-    def _pos_fe_architecture(self, entries, shape):
-        for blocks in self.stages:
-            for b in blocks:
-                out = b.out_shape(shape)
-                mid = b.conv1.out_shape(shape)
-                entries.append(ArchEntry(b.conv1.name, "conv", shape, mid, b.conv1))
-                entries.append(ArchEntry(b.bn1.name, "bn", mid, mid, b.bn1))
-                entries.append(ArchEntry(b.name + ".relu1", "relu", mid, mid))
-                entries.append(ArchEntry(b.conv2.name, "conv", mid, out, b.conv2))
-                entries.append(ArchEntry(b.bn2.name, "bn", out, out, b.bn2))
-                if b.proj is not None:
-                    entries.append(ArchEntry(b.proj.name, "conv", shape, out, b.proj))
-                    entries.append(ArchEntry(b.proj_bn.name, "bn", out, out, b.proj_bn))
-                entries.append(ArchEntry(b.name + ".add", "add", out, out))
-                entries.append(ArchEntry(b.name + ".relu2", "relu", out, out))
-                shape = out
-        return shape
-
 
 class EModel(_Model):
     """Lightweight edge network: four depthwise-separable stages."""
@@ -277,19 +283,6 @@ class EModel(_Model):
         for b in self.blocks:
             h = b.forward(h)
         return h
-
-    def _pos_fe_architecture(self, entries, shape):
-        for b in self.blocks:
-            mid = b.depthwise.out_shape(shape)
-            out = b.pointwise.out_shape(mid)
-            entries.append(ArchEntry(b.depthwise.name, "conv", shape, mid, b.depthwise))
-            entries.append(ArchEntry(b.dw_bn.name, "bn", mid, mid, b.dw_bn))
-            entries.append(ArchEntry(b.name + ".dw_relu", "relu", mid, mid))
-            entries.append(ArchEntry(b.pointwise.name, "conv", mid, out, b.pointwise))
-            entries.append(ArchEntry(b.pw_bn.name, "bn", out, out, b.pw_bn))
-            entries.append(ArchEntry(b.name + ".pw_relu", "relu", out, out))
-            shape = out
-        return shape
 
 
 def build_model(config: ModelConfig, kind: str, seed: int):

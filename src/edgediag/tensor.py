@@ -34,22 +34,14 @@ __all__ = [
     "ShapeError",
     "NonFiniteError",
     "TapeError",
-    "tensor",
     "custom_op",
+    "label",
     "add",
-    "sub",
     "mul",
     "matmul",
-    "transpose",
     "reshape",
-    "concat",
-    "tsum",
     "tmean",
     "relu",
-    "exp",
-    "log",
-    "softmax",
-    "clamp_min",
     "backward",
     "grad_l2_norm",
 ]
@@ -111,12 +103,6 @@ class Tensor:
     def __radd__(self, other):
         return add(_lift(other), self)
 
-    def __sub__(self, other):
-        return sub(self, _lift(other))
-
-    def __rsub__(self, other):
-        return sub(_lift(other), self)
-
     def __mul__(self, other):
         return mul(self, _lift(other))
 
@@ -134,10 +120,6 @@ class Tensor:
         return f"Tensor(shape={list(self.shape)}{grad})"
 
 
-def tensor(data: ArrayLike, requires_grad: bool = False) -> Tensor:
-    return Tensor(data, requires_grad=requires_grad)
-
-
 def _lift(x) -> Tensor:
     if isinstance(x, Tensor):
         return x
@@ -145,15 +127,21 @@ def _lift(x) -> Tensor:
 
 
 class _TapeEntry:
-    """One recorded value: a leaf or the output of an op."""
+    """One recorded value: a leaf or the output of an op.
 
-    __slots__ = ("op", "inputs", "backward_fn", "shape")
+    ``name`` and ``layer`` are set by :func:`label` when the op belongs
+    to a named part of a model (a layer, or a block's ReLU or join).
+    """
+
+    __slots__ = ("op", "inputs", "backward_fn", "shape", "name", "layer")
 
     def __init__(self, op, inputs, backward_fn, shape):
         self.op = op
         self.inputs = inputs          # tuple of node ids
         self.backward_fn = backward_fn  # fn(g: float64 array) -> per-input grads, or None for leaves
         self.shape = shape
+        self.name = None
+        self.layer = None
 
 
 _state = threading.local()
@@ -333,6 +321,20 @@ def custom_op(
     return out
 
 
+def label(t: Tensor, name: str, layer=None) -> Tensor:
+    """Name the tape entry that recorded ``t``; returns ``t``.
+
+    A no-op when no tape is active or ``t`` is not on it, so forward
+    passes may label every op unconditionally.
+    """
+    tape = _active_tape()
+    if tape is not None and t.tape_id == tape.tape_id:
+        entry = tape.entries[t.node]
+        entry.name = name
+        entry.layer = layer
+    return t
+
+
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     """Sum a gradient back down to a broadcast operand's shape."""
     if grad.shape == shape:
@@ -370,16 +372,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return custom_op("add", (a, b), out, bwd)
 
 
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    _binary_shapes("sub", a, b)
-    out = a.data - b.data
-
-    def bwd(g):
-        return _unbroadcast(g, a.data.shape), -_unbroadcast(g, b.data.shape)
-
-    return custom_op("sub", (a, b), out, bwd)
-
-
 def mul(a: Tensor, b: Tensor) -> Tensor:
     _binary_shapes("mul", a, b)
     out = a.data * b.data
@@ -410,18 +402,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return custom_op("matmul", (a, b), out, bwd)
 
 
-def transpose(a: Tensor) -> Tensor:
-    """2-D transpose (materialized; reshape never reorders, this does)."""
-    if a.data.ndim != 2:
-        raise ShapeError(f"transpose needs a 2-D tensor, got {list(a.shape)}")
-    out = np.ascontiguousarray(a.data.T)
-
-    def bwd(g):
-        return (g.T,)
-
-    return custom_op("transpose", (a,), out, bwd)
-
-
 def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
     """Row-major reshape; a pure relabeling that never copies or reorders."""
     shape = tuple(int(s) for s in shape)
@@ -436,23 +416,6 @@ def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
     return custom_op("reshape", (a,), out, bwd)
 
 
-def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
-    if not tensors:
-        raise ShapeError("concat of an empty sequence")
-    ndim = tensors[0].data.ndim
-    for t in tensors[1:]:
-        if t.data.ndim != ndim:
-            raise ShapeError("concat: rank mismatch")
-    out = np.concatenate([t.data for t in tensors], axis=axis)
-    sizes = [t.data.shape[axis] for t in tensors]
-    splits = np.cumsum(sizes)[:-1]
-
-    def bwd(g):
-        return tuple(np.split(g, splits, axis=axis))
-
-    return custom_op("concat", tuple(tensors), out, bwd)
-
-
 # ---------------------------------------------------------------------------
 # reductions (float64 accumulation; scalar results have shape (1,))
 
@@ -462,22 +425,6 @@ def _norm_axis(axis, ndim):
     if isinstance(axis, int):
         axis = (axis,)
     return tuple(a % ndim for a in axis)
-
-
-def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    axis_n = _norm_axis(axis, a.data.ndim)
-    out64 = np.sum(a.data, axis=axis_n, keepdims=keepdims, dtype=np.float64)
-    in_shape = a.data.shape
-    if axis_n is None:
-        out64 = out64.reshape(1)
-
-    def bwd(g):
-        if axis_n is None:
-            return (np.broadcast_to(g.reshape(()), in_shape),)
-        gg = g if keepdims else np.expand_dims(g, axis_n)
-        return (np.broadcast_to(gg, in_shape),)
-
-    return custom_op("sum", (a,), out64, bwd)
 
 
 def tmean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
@@ -510,53 +457,3 @@ def relu(a: Tensor) -> Tensor:
         return (g * mask,)
 
     return custom_op("relu", (a,), out, bwd)
-
-
-def exp(a: Tensor) -> Tensor:
-    with np.errstate(over="raise"):
-        try:
-            out = np.exp(a.data)
-        except FloatingPointError:
-            raise NonFiniteError("exp overflowed") from None
-
-    def bwd(g):
-        return (g * out,)
-
-    return custom_op("exp", (a,), out, bwd)
-
-
-def log(a: Tensor) -> Tensor:
-    """Natural log. Inputs must be strictly positive; clamp first if unsure."""
-    if np.any(a.data <= 0.0):
-        raise ShapeError("log of non-positive input; apply clamp_min first")
-    out = np.log(a.data)
-    ad = a.data
-
-    def bwd(g):
-        return (g / ad,)
-
-    return custom_op("log", (a,), out, bwd)
-
-
-def clamp_min(a: Tensor, floor: float) -> Tensor:
-    out = np.maximum(a.data, np.float32(floor))
-    mask = a.data >= floor
-
-    def bwd(g):
-        return (g * mask,)
-
-    return custom_op("clamp_min", (a,), out, bwd)
-
-
-def softmax(a: Tensor, axis: int = -1) -> Tensor:
-    """Row-stochastic softmax with max subtraction along ``axis``."""
-    x = a.data.astype(np.float64)
-    x = x - np.max(x, axis=axis, keepdims=True)
-    e = np.exp(x)
-    s = e / np.sum(e, axis=axis, keepdims=True)
-
-    def bwd(g):
-        dot = np.sum(g * s, axis=axis, keepdims=True)
-        return ((g - dot) * s,)
-
-    return custom_op("softmax", (a,), s, bwd)

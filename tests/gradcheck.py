@@ -9,10 +9,20 @@ blow up the metric while any formula error still registers at full size.
 
 import numpy as np
 
-from edgediag.tensor import Tape, Tensor, mul, tsum
+from edgediag.tensor import Tape, Tensor, matmul, reshape
 
 FD_H = 1e-3
 REL_TOL = 1e-4
+
+
+def weighted_sum(out, weights=None):
+    """sum(out * weights) as a [1, 1] tensor: the flattened output times a column.
+
+    ``weights`` defaults to all ones, which makes this a plain sum.
+    """
+    n = out.size
+    column = np.ones((n, 1)) if weights is None else np.reshape(weights, (n, 1))
+    return matmul(reshape(out, (1, n)), Tensor(column))
 
 
 def max_rel_err(a, b):
@@ -63,7 +73,7 @@ def check_grads(engine_fn, oracle_fn, arrays, seed=0, tol=REL_TOL, forward_tol=1
         out = engine_fn(ts)
         ferr = max_rel_err(out.data, out_ref)
         assert ferr < forward_tol, f"forward mismatch: {ferr:.3g}"
-        loss = tsum(mul(out, Tensor(readout)))
+        loss = weighted_sum(out, readout)
         gm = tape.backward(loss, ts)
 
     worst = 0.0

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -9,8 +11,9 @@ from edgediag.complexity import (
     dense_stats,
     format_comparison,
 )
-from edgediag.layers import Conv2dLayer, DenseLayer, ParamStore
+from edgediag.layers import BuildError, Conv2dLayer, DenseLayer, ParamStore
 from edgediag.models import ArchEntry, ModelConfig, build_model
+from edgediag.tensor import Tensor, mul
 
 CFG = ModelConfig()
 
@@ -108,6 +111,35 @@ def test_unknown_op_kind_is_an_error():
     model.architecture = with_mystery
     with pytest.raises(AnalysisError, match="fft"):
         analyze(model)
+
+
+def test_op_without_convention_in_forward_is_an_error():
+    # the traced forward meets an op the analyzer has no convention for
+    model = build_model(TINY, "edge", seed=0)
+    classify = model.classify
+    model.classify = lambda f: mul(classify(f), Tensor([2.0]))
+    with pytest.raises(AnalysisError, match="mul"):
+        analyze(model)
+
+
+def test_channel_mismatch_is_a_build_error():
+    model = build_model(CFG, "edge", seed=0)
+    with pytest.raises(BuildError, match="channel"):
+        analyze(model, (3, 32, 32))
+
+
+# sha256 of analyze(...).to_text() on the default config: a change to any
+# layer name, shape or count in either table changes it
+DEFAULT_TABLE_SHA256 = {
+    "cloud": "47cbe573818cee411662bb796f38798559557f8cb875eacb2e0192f441ff4ad6",
+    "edge": "21eadf5b23dd4e39051ad9c1a1e2e151b24bc0d694ef0234d2441e51b5a6e7dc",
+}
+
+
+@pytest.mark.parametrize("kind", ["cloud", "edge"])
+def test_default_tables_are_pinned(kind):
+    text = analyze(build_model(ModelConfig(), kind, 0)).to_text()
+    assert hashlib.sha256(text.encode()).hexdigest() == DEFAULT_TABLE_SHA256[kind]
 
 
 def test_stats_table_renders():

@@ -5,18 +5,15 @@ import numpy as np
 import pytest
 
 import oracles
-from gradcheck import check_grads
+from gradcheck import check_grads, weighted_sum
 from edgediag.losses import (
-    AdaptiveWeights,
     KernelConfig,
     LossTerms,
     SmoothingConfig,
     adaptive_weights,
     in_weighted_phase,
     lmmd,
-    smooth,
     smoothed_cross_entropy,
-    total_loss,
     weights_from_norms,
 )
 from edgediag.tensor import Tape, Tensor
@@ -162,45 +159,6 @@ def test_lmmd_tensor_scalar_shape():
 
 
 # ---------------------------------------------------------------------------
-# smoothing
-
-def test_smooth_identity_at_zero_eps():
-    rows = np.array([[0.2, 0.8], [1.0, 0.0]])
-    out = smooth(rows, SmoothingConfig(epsilon=0.0, num_classes=2))
-    assert np.allclose(out, rows)
-
-
-def test_smooth_onehot_formula():
-    out = smooth(np.array([[1.0, 0.0]]), SmoothingConfig(epsilon=0.1, num_classes=2))
-    assert np.allclose(out, [[0.95, 0.05]], atol=1e-12)
-
-
-def test_smooth_preserves_row_sums():
-    rng = np.random.default_rng(5)
-    for _ in range(20):
-        raw = rng.uniform(0.01, 1.0, (4, 6))
-        rows = raw / raw.sum(axis=1, keepdims=True)
-        out = smooth(rows, SmoothingConfig(epsilon=0.3, num_classes=6))
-        assert np.max(np.abs(out.sum(axis=1) - 1.0)) < 1e-6
-
-
-def test_smooth_rejects_non_stochastic_rows():
-    with pytest.raises(ValueError, match="sum to 1"):
-        smooth(np.array([[0.5, 0.1]]), SmoothingConfig(epsilon=0.1, num_classes=2))
-
-
-def test_smooth_tensor_path_differentiable():
-    rows = np.array([[0.25, 0.75], [0.5, 0.5]], dtype=np.float32)
-    with Tape() as tape:
-        t = Tensor(rows, requires_grad=True)
-        out = smooth(t, SmoothingConfig(epsilon=0.2, num_classes=2))
-        from edgediag.tensor import tsum
-
-        g = tape.backward(tsum(out), [t])
-    assert np.allclose(g[t].data, 0.8, atol=1e-6)
-
-
-# ---------------------------------------------------------------------------
 # smoothed cross entropy
 
 def test_ce_confident_correct_is_tiny():
@@ -325,13 +283,13 @@ def test_weights_scale_covariant_numeric():
 
 
 def test_adaptive_weights_from_gradient_maps():
-    from edgediag.tensor import mul, tsum
+    from edgediag.tensor import mul
 
     with Tape() as tape:
         x = Tensor([1.0, 2.0], requires_grad=True)
         feat = mul(x, Tensor([2.0, 2.0]))
-        l_f = tsum(mul(feat, feat))
-        l_c = tsum(feat)
+        l_f = weighted_sum(mul(feat, feat))
+        l_c = weighted_sum(feat)
         gf = tape.backward(l_f, [feat])
         gc = tape.backward(l_c, [feat])
         terms = LossTerms(l_f.item(), l_c.item())
@@ -344,23 +302,7 @@ def test_adaptive_weights_from_gradient_maps():
 
 
 # ---------------------------------------------------------------------------
-# total loss schedule
-
-def _unit_weights():
-    return AdaptiveWeights(1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1e-8)
-
-
-def test_total_loss_boundary_epoch_90_of_100():
-    terms = LossTerms(2.0, 3.0)
-    w = AdaptiveWeights(0.5, 2.0, 1, 1, 1, 1, 1e-8)
-    assert abs(total_loss(90, 100, w, terms) - (0.5 * 2.0 + 2.0 * 3.0)) < 1e-12
-    assert abs(total_loss(91, 100, w, terms) - 3.0) < 1e-12
-
-
-def test_total_loss_unit_weights_sum():
-    terms = LossTerms(1.25, 0.75)
-    assert abs(total_loss(1, 10, _unit_weights(), terms) - 2.0) < 1e-12
-
+# weighted-phase schedule
 
 @pytest.mark.parametrize(
     "num_epoch,last_weighted", [(10, 9), (100, 90), (20, 18), (7, 6), (1000, 900), (13, 11)]

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from gradcheck import weighted_sum
+from edgediag.complexity import analyze
 from edgediag.layers import BuildError
 from edgediag.models import (
     CModel,
@@ -10,7 +12,7 @@ from edgediag.models import (
     freeze_pre_fe,
     share_pre_fe,
 )
-from edgediag.tensor import Tape, Tensor, tsum
+from edgediag.tensor import Tape, Tensor
 
 CFG = ModelConfig()
 
@@ -178,7 +180,7 @@ def test_frozen_params_still_get_gradients():
     x = Tensor(np.random.default_rng(4).standard_normal((2, 6, 32, 32)).astype(np.float32))
     w = e.store["pre_fe.conv1.weight"]
     with Tape() as tape:
-        loss = tsum(e.forward_logits(x))
+        loss = weighted_sum(e.forward_logits(x))
         g = tape.backward(loss, [w])
     assert np.any(g[w].data != 0.0)  # skipped at update time, not detached
 
@@ -205,3 +207,26 @@ def test_architecture_shapes_match_forward():
     x = Tensor(np.random.default_rng(5).standard_normal((1, 6, 32, 32)).astype(np.float32))
     out = model.forward_logits(x)
     assert out.shape[1:] == model.architecture()[-1].out_shape
+
+
+def _state(model):
+    snap = model.store.snapshot()
+    return ({n: a.tobytes() for n, a in snap.items()},
+            [(bn.training, bn.frozen) for bn in model.bn_layers()])
+
+
+@pytest.mark.parametrize("kind,frozen", [("cloud", False), ("edge", False), ("edge", True)])
+def test_architecture_leaves_model_state_unchanged(kind, frozen):
+    model = build_model(SMALL, kind, seed=0)
+    if frozen:
+        freeze_pre_fe(model)
+    model.set_training(True)
+    before = _state(model)
+    first = model.architecture()
+    analyze(model)
+    assert _state(model) == before  # parameters, running stats, BN flags
+    if frozen:
+        assert all(bn.frozen and not bn.training for bn in model.pre_fe.bns)
+    assert any(bn.training for bn in model.bn_layers())
+    assert model.architecture() == first
+
