@@ -5,7 +5,10 @@ fused primitives with hand-derived backward rules (cheaper and easier to
 audit than composing them from elementwise ops). Convolution is grouped
 im2col: patches are gathered into a [groups, N*H'*W', C_g*kh*kw] matrix
 and contracted with a batched float64 GEMM, which covers standard,
-grouped and depthwise convolutions with a single code path.
+grouped and depthwise convolutions with a single code path. Like
+``lmmd``, each layer's backward rule returns None for an input that does
+not require a gradient (a data batch, or a frozen block's precomputed
+output), skipping that input-gradient computation entirely.
 
 Parameters live in a :class:`ParamStore`: an ordered, uniquely named
 collection of tensors with per-entry trainable and frozen flags. The
@@ -220,6 +223,7 @@ class Conv2dLayer:
             out = out + self.bias.data.astype(np.float64).reshape(1, co, 1, 1)
 
         bias_t = self.bias
+        need_dx = x.requires_grad
         in_shape = (n, c, h, w)
         pad_shape = xp.shape
 
@@ -230,17 +234,19 @@ class Conv2dLayer:
                 .reshape(g, n * ho * wo, og)
             )
             dw = (g_b.transpose(0, 2, 1) @ cols).reshape(self.weight.data.shape)
-            dcols = g_b @ w2  # [G, N*ho*wo, kk]
-            dpatch = (
-                dcols.reshape(g, n, ho, wo, cg, kh, kw)
-                .transpose(1, 0, 4, 2, 3, 5, 6)
-                .reshape(n, c, ho, wo, kh, kw)
-            )
-            dxp = np.zeros(pad_shape, dtype=np.float64)
-            for i in range(kh):
-                for j in range(kw):
-                    dxp[:, :, i:i + s * ho:s, j:j + s * wo:s] += dpatch[:, :, :, :, i, j]
-            dx = dxp[:, :, p:p + in_shape[2], p:p + in_shape[3]] if p else dxp
+            dx = None
+            if need_dx:
+                dcols = g_b @ w2  # [G, N*ho*wo, kk]
+                dpatch = (
+                    dcols.reshape(g, n, ho, wo, cg, kh, kw)
+                    .transpose(1, 0, 4, 2, 3, 5, 6)
+                    .reshape(n, c, ho, wo, kh, kw)
+                )
+                dxp = np.zeros(pad_shape, dtype=np.float64)
+                for i in range(kh):
+                    for j in range(kw):
+                        dxp[:, :, i:i + s * ho:s, j:j + s * wo:s] += dpatch[:, :, :, :, i, j]
+                dx = dxp[:, :, p:p + in_shape[2], p:p + in_shape[3]] if p else dxp
             grads = [dx, dw]
             if bias_t is not None:
                 grads.append(gout.sum(axis=(0, 2, 3)))
@@ -317,10 +323,13 @@ class BatchNormLayer:
             1, -1, 1, 1
         )
         train_stats = self.training
+        need_dx = x.requires_grad
 
         def bwd(g):
             dgamma = np.sum(g * xn, axis=(0, 2, 3))
             dbeta = np.sum(g, axis=(0, 2, 3))
+            if not need_dx:
+                return None, dgamma, dbeta
             dxn = g * gamma64.reshape(1, -1, 1, 1)
             if train_stats:
                 dx = (
@@ -381,8 +390,10 @@ class DenseLayer:
         if bias_t is not None:
             out = out + bias_t.data.astype(np.float64)
 
+        need_dx = x.requires_grad
+
         def bwd(g):
-            grads = [g @ w64, g.T @ x64]
+            grads = [g @ w64 if need_dx else None, g.T @ x64]
             if bias_t is not None:
                 grads.append(g.sum(axis=0))
             return grads

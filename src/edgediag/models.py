@@ -185,7 +185,7 @@ class _Model:
         Every non-leaf tape entry becomes one ArchEntry, in execution
         order, with per-sample shapes. Batch-norm training flags are
         restored afterwards; eval mode leaves parameters and running
-        statistics untouched. No other tape may be active on the thread.
+        statistics untouched. No other tape may be active.
         """
         shape = tuple(int(s) for s in (input_shape or self.config.input_shape))
         if len(shape) != 3 or shape[0] != self.config.input_shape[0]:

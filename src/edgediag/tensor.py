@@ -9,9 +9,18 @@ Differentiation is tape-based: while a :class:`Tape` is active, every
 operation that touches a gradient-requiring tensor appends a node with a
 backward rule. ``Tape.backward`` then replays the tape in reverse and can
 return gradients for *any* recorded node, intermediates included, not
-only leaf parameters. A tape may be replayed any number of times (one
-backward pass per loss is the normal training pattern); replays are pure
-and return identical maps as long as nothing mutates tensor data.
+only leaf parameters. A replay runs only from the loss down to the
+lowest requested target, so a pass that asks for an intermediate node
+alone (a feature output, say) touches only the ops above it. The loss
+may also be a weighted sum of several scalars, with the weights applied
+in float64 at the seeds. A tape may be replayed any number of times;
+replays are pure and return identical maps as long as nothing mutates
+tensor data.
+
+A backward rule may return None for an input that does not require a
+gradient (the layers and ``lmmd`` do). A target whose tensor has
+``requires_grad=False`` therefore gets a zero gradient, like a target
+that does not influence the loss.
 
 Broadcasting for elementwise binary ops is deliberately narrow: both
 operands must have equal rank and every axis must either match or be 1
@@ -22,7 +31,7 @@ expanded axes.
 
 from __future__ import annotations
 
-import threading
+import itertools
 from typing import Callable, Iterable, Optional, Sequence, Union
 
 import numpy as np
@@ -144,37 +153,31 @@ class _TapeEntry:
         self.layer = None
 
 
-_state = threading.local()
-_tape_counter = 0
-_tape_counter_lock = threading.Lock()
-
-
-def _active_tape() -> Optional["Tape"]:
-    return getattr(_state, "tape", None)
+_active: Optional["Tape"] = None  # the tape ops record on, if any
+_tape_ids = itertools.count(1)
 
 
 class Tape:
-    """Recording of one forward pass; one active tape per thread.
+    """Recording of one forward pass; one active tape per process.
 
     Append-only and topologically ordered by construction: an op's
     inputs always receive ids before its output.
     """
 
     def __init__(self):
-        global _tape_counter
-        with _tape_counter_lock:
-            _tape_counter += 1
-            self.tape_id = _tape_counter
+        self.tape_id = next(_tape_ids)
         self.entries: list[_TapeEntry] = []
 
     def __enter__(self) -> "Tape":
-        if _active_tape() is not None:
-            raise TapeError("a tape is already active on this thread")
-        _state.tape = self
+        global _active
+        if _active is not None:
+            raise TapeError("a tape is already active")
+        _active = self
         return self
 
     def __exit__(self, exc_type, exc, tb):
-        _state.tape = None
+        global _active
+        _active = None
         return False
 
     def __len__(self) -> int:
@@ -195,16 +198,24 @@ class Tape:
         out.node = idx
         out.tape_id = self.tape_id
 
-    def backward(self, loss: Tensor, targets: Iterable) -> "GradientMap":
+    def backward(self, loss: Union[Tensor, Sequence[tuple]], targets: Iterable) -> "GradientMap":
         """Reverse-accumulate d(loss)/d(target) for every requested node.
 
-        ``targets`` may mix Tensors and raw node ids. Targets that do not
-        influence the loss receive zero gradients of matching shape.
+        ``loss`` is a scalar Tensor, or a sequence of ``(scalar Tensor,
+        weight)`` pairs standing for the weighted sum of those losses;
+        each weight seeds its loss's node in float64. ``targets`` may mix
+        Tensors and raw node ids. Targets that do not influence the loss
+        receive zero gradients of matching shape. The replay stops at the
+        lowest target id: no node below it can reach a target.
         """
-        if loss.data.size != 1:
-            raise ShapeError(f"backward needs a scalar loss, got shape {loss.shape}")
-        if loss.node is None or loss.tape_id != self.tape_id:
-            raise TapeError("loss is not recorded on this tape")
+        seeds = [(loss, 1.0)] if isinstance(loss, Tensor) else list(loss)
+        if not seeds:
+            raise TapeError("backward needs at least one loss")
+        for t, _ in seeds:
+            if t.data.size != 1:
+                raise ShapeError(f"backward needs a scalar loss, got shape {t.shape}")
+            if t.node is None or t.tape_id != self.tape_id:
+                raise TapeError("loss is not recorded on this tape")
 
         target_ids = []
         for t in targets:
@@ -220,11 +231,15 @@ class Tape:
                 raise TapeError(f"backward target {t!r} is not on this tape")
             target_ids.append(int(nid))
 
-        # float64 accumulation buffers, one per reached node
-        buffers: dict[int, np.ndarray] = {
-            loss.node: np.ones(self.entries[loss.node].shape, dtype=np.float64)
-        }
-        for idx in range(loss.node, -1, -1):
+        # float64 accumulation buffers, one per reached node; a stored
+        # buffer may alias an op's output and is never written in place
+        buffers: dict[int, np.ndarray] = {}
+        for t, weight in seeds:
+            seed = np.full(self.entries[t.node].shape, float(weight), dtype=np.float64)
+            buf = buffers.get(t.node)
+            buffers[t.node] = seed if buf is None else buf + seed
+        top = max(buffers)
+        for idx in range(top, min(target_ids, default=top), -1):
             g = buffers.get(idx)
             if g is None:
                 continue
@@ -235,11 +250,9 @@ class Tape:
             for input_id, contrib in zip(entry.inputs, contribs):
                 if contrib is None:
                     continue
+                contrib = np.asarray(contrib, dtype=np.float64)
                 buf = buffers.get(input_id)
-                if buf is None:
-                    buffers[input_id] = np.asarray(contrib, dtype=np.float64).copy()
-                else:
-                    buf += contrib
+                buffers[input_id] = contrib if buf is None else buf + contrib
 
         grads = {}
         for nid in target_ids:
@@ -250,12 +263,11 @@ class Tape:
         return GradientMap(grads)
 
 
-def backward(loss: Tensor, targets: Iterable) -> "GradientMap":
+def backward(loss: Union[Tensor, Sequence[tuple]], targets: Iterable) -> "GradientMap":
     """Backward pass on the active tape (see :meth:`Tape.backward`)."""
-    tape = _active_tape()
-    if tape is None:
+    if _active is None:
         raise TapeError("no active tape")
-    return tape.backward(loss, targets)
+    return _active.backward(loss, targets)
 
 
 class GradientMap:
@@ -314,7 +326,7 @@ def custom_op(
     out_arr = np.ascontiguousarray(out_data, dtype=np.float32)
     _check_finite(op, out_arr)
     out = Tensor(out_arr, requires_grad=any(t.requires_grad for t in inputs))
-    tape = _active_tape()
+    tape = _active
     if tape is not None and out.requires_grad:
         ids = tuple(tape._register(t) for t in inputs)
         tape._record(op, ids, out, backward_fn)
@@ -327,7 +339,7 @@ def label(t: Tensor, name: str, layer=None) -> Tensor:
     A no-op when no tape is active or ``t`` is not on it, so forward
     passes may label every op unconditionally.
     """
-    tape = _active_tape()
+    tape = _active
     if tape is not None and t.tape_id == tape.tape_id:
         entry = tape.entries[t.node]
         entry.name = name

@@ -1,15 +1,18 @@
 """Cloud-side supervised training and edge-side knowledge transfer.
 
 Transfer runs after the front block has been shared and frozen. Each
-iteration draws one class-balanced source batch and one target batch,
+iteration draws one class-balanced source batch and one target batch and
 computes the alignment loss between the (fixed) cloud features of the
-source batch and the edge features of the target batch, the smoothed
-cross entropy of the target batch, and one backward pass per loss. The
-loss weights come from the gradient norms at the shared feature node;
-since they are constants for backpropagation, the parameter update uses
-alpha * g_feature + beta * g_classify directly rather than a third
-backward pass. After 90% of the epochs the schedule drops the alignment
-term and trains on the classification loss alone.
+source batch and the edge features of the target batch, and the
+smoothed cross entropy of the target batch. The loss weights come from
+the gradient norms of the two losses at the shared feature node; two
+short backward passes that stop at that node give them, replaying only
+the loss and classifier ops. Since the weights are constants for
+backpropagation, one full backward pass of alpha * l_f + beta * l_c
+(weights applied in float64 at the seeds) then gives the parameter
+update. After 90% of the epochs the schedule drops the alignment term
+and trains on the classification loss alone, with a single backward
+pass per step.
 
 Because the frozen front block and the cloud model never change during
 transfer, their activations for the fixed fine-tuning pool are
@@ -99,7 +102,11 @@ class TrainConfig:
 @dataclass
 class EpochReport:
     """Per-epoch training record. Wall time is kept out of to_record so
-    metrics files stay byte-reproducible; writers segregate it."""
+    metrics files stay byte-reproducible; writers segregate it.
+
+    ``w_a``/``w_b`` are the epoch means of the gradient norms at the
+    feature node over the steps whose weights were computed adaptively,
+    0.0 in an epoch without such a step."""
 
     epoch: int
     loss_feature: float
@@ -109,6 +116,8 @@ class EpochReport:
     lr: float
     train_accuracy: float
     wall_time_s: float
+    w_a: float = 0.0
+    w_b: float = 0.0
 
     def to_record(self) -> dict:
         return {
@@ -119,6 +128,8 @@ class EpochReport:
             "beta": self.beta,
             "lr": self.lr,
             "train_accuracy": self.train_accuracy,
+            "w_a": self.w_a,
+            "w_b": self.w_b,
         }
 
 
@@ -349,8 +360,8 @@ def transfer_edge(
         t0 = time.perf_counter()
         lr = cosine_lr(epoch - 1, cfg.num_epoch, cfg.lr_max, cfg.lr_min)
         weighted_phase = in_weighted_phase(epoch, cfg.num_epoch)
-        lf_sum = lc_sum = a_sum = b_sum = 0.0
-        hits = seen = 0
+        lf_sum = lc_sum = a_sum = b_sum = wa_sum = wb_sum = 0.0
+        hits = seen = adaptive_steps = 0
         for it in range(iters):
             src_idx = _balanced_batch_indices(rng, src_pools, cfg.batch_size)
             tgt_idx = _balanced_batch_indices(rng, tgt_pools, cfg.batch_size)
@@ -362,12 +373,9 @@ def transfer_edge(
                     logits = e_model.classify(feat)
                     l_c = smoothed_cross_entropy(logits, tgt_1h[tgt_idx], smoothing)
                     l_f = lmmd(Tensor(f_src_all[src_idx]), feat, y_src, y_tgt, cfg.kernel)
-                    targets = [t for _, t in params] + [feat]
-                    g_c = tape.backward(l_c, targets)
                     terms = LossTerms(l_f.item(), l_c.item())
                     terms.validate()
 
-                    g_f = None
                     if force_weights is not None:
                         alpha, beta = force_weights
                     elif variant == "wo_domain_adaptation":
@@ -377,24 +385,20 @@ def transfer_edge(
                     elif not weighted_phase:
                         alpha, beta = 0.0, 1.0
                     else:
-                        g_f = tape.backward(l_f, targets)
-                        w = adaptive_weights(g_f, g_c, feat, terms, cfg.delta)
+                        # short passes: stop at feat, above the edge blocks
+                        w = adaptive_weights(
+                            tape.backward(l_f, [feat]), tape.backward(l_c, [feat]),
+                            feat, terms, cfg.delta,
+                        )
                         alpha, beta = w.alpha, w.beta
+                        wa_sum += w.w_a
+                        wb_sum += w.w_b
+                        adaptive_steps += 1
 
-                    if alpha != 0.0:
-                        if g_f is None:
-                            g_f = tape.backward(l_f, targets)
-                        combined = {
-                            name: alpha * g_f[t].data.astype(np.float64)
-                            + beta * g_c[t].data.astype(np.float64)
-                            for name, t in params
-                        }
-                    elif beta == 1.0:
-                        combined = {name: g_c[t].data for name, t in params}
-                    else:
-                        combined = {
-                            name: beta * g_c[t].data.astype(np.float64) for name, t in params
-                        }
+                    # one full replay; alpha == 0 leaves the lmmd node unseeded
+                    seeds = [(l_c, beta)] if alpha == 0.0 else [(l_f, alpha), (l_c, beta)]
+                    g = tape.backward(seeds, [t for _, t in params])
+                    combined = {name: g[t].data for name, t in params}
             except NonFiniteError as err:
                 raise TrainingDiverged("transfer", epoch, it, str(err))
             adam.step(lr, combined)
@@ -414,6 +418,8 @@ def transfer_edge(
                 lr=lr,
                 train_accuracy=hits / max(seen, 1),
                 wall_time_s=time.perf_counter() - t0,
+                w_a=wa_sum / adaptive_steps if adaptive_steps else 0.0,
+                w_b=wb_sum / adaptive_steps if adaptive_steps else 0.0,
             )
         )
     return reports

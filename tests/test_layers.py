@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import oracles
-from gradcheck import check_grads, max_rel_err
+from gradcheck import check_grads, max_rel_err, weighted_sum
 from edgediag.layers import (
     BatchNormLayer,
     BuildError,
@@ -13,7 +13,7 @@ from edgediag.layers import (
     ResidualBlock,
     global_avg_pool,
 )
-from edgediag.tensor import ShapeError, Tensor
+from edgediag.tensor import ShapeError, Tape, Tensor
 
 
 def _conv(in_c, out_c, kernel, rng=None, **kw):
@@ -405,6 +405,46 @@ def test_fd_dwsep_block(seed):
         return block.forward(ts[0])
 
     _layer_gradcheck(engine, oracle, [x, wd, wp], seed)
+
+
+# ---------------------------------------------------------------------------
+# inputs that need no gradient
+
+def _no_grad_cases():
+    rng = np.random.default_rng(41)
+    conv = _conv(3, 4, 3, rng=rng, stride=2, padding=1, bias=True)
+    dwconv = _conv(3, 3, 3, rng=rng, padding=1, groups=3)
+    dense = DenseLayer(ParamStore(), "d", 5, 4, rng=rng)
+    bn_train = BatchNormLayer(ParamStore(), "b", 3)
+    bn_eval = BatchNormLayer(ParamStore(), "e", 3)
+    bn_eval.set_training(False)
+    img = rng.standard_normal((2, 3, 5, 5)).astype(np.float32)
+    return {
+        "conv": (conv, img, [conv.weight, conv.bias]),
+        "dwconv": (dwconv, img, [dwconv.weight]),
+        "dense": (dense, rng.standard_normal((3, 5)).astype(np.float32),
+                  [dense.weight, dense.bias]),
+        "bn-train": (bn_train, img, [bn_train.gamma, bn_train.beta]),
+        "bn-eval": (bn_eval, img, [bn_eval.gamma, bn_eval.beta]),
+    }
+
+
+@pytest.mark.parametrize("case", ["conv", "dwconv", "dense", "bn-train", "bn-eval"])
+def test_input_without_grad_gets_zero_and_same_param_grads(case):
+    layer, x_arr, params = _no_grad_cases()[case]
+    readout = np.random.default_rng(42).standard_normal(
+        layer.forward(Tensor(x_arr)).size)
+    grads = {}
+    for needs in (True, False):
+        with Tape() as tape:
+            x = Tensor(x_arr, requires_grad=needs)
+            loss = weighted_sum(layer.forward(x), readout)
+            g = tape.backward(loss, [x] + params)
+        grads[needs] = [g[t].data for t in [x] + params]
+    assert not np.array_equal(grads[True][0], np.zeros_like(x_arr))
+    assert np.array_equal(grads[False][0], np.zeros_like(x_arr))
+    for with_dx, without_dx in zip(grads[True][1:], grads[False][1:]):
+        assert with_dx.tobytes() == without_dx.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from edgediag.tensor import (
     TapeError,
     Tensor,
     add,
+    custom_op,
     grad_l2_norm,
     label,
     matmul,
@@ -61,7 +62,11 @@ def test_backward_linearity_combination():
         g1 = tape.backward(l1, [x])[x].data
         g2 = tape.backward(l2, [x])[x].data
         gc = tape.backward(combo, [x])[x].data
+        seeded = tape.backward([(l1, 0.6), (l2, 2.5)], [x])[x].data
+        unit = tape.backward([(l1, 1.0)], [x])[x].data
     assert np.max(np.abs(gc - (0.6 * g1 + 2.5 * g2))) < 1e-6
+    assert np.max(np.abs(seeded - (0.6 * g1 + 2.5 * g2))) < 1e-6
+    assert unit.tobytes() == g1.tobytes()
 
 
 def test_backward_repeat_identical():
@@ -93,6 +98,48 @@ def test_backward_unreached_target_zero():
         loss = mul(x, x)
         g = tape.backward(loss, [y])
     assert np.array_equal(g[y].data, [0.0])
+
+
+def _counted(name, x, calls):
+    """Identity-shaped op x -> 2x whose backward rule counts its calls."""
+
+    def bwd(g):
+        calls[name] = calls.get(name, 0) + 1
+        return (2.0 * g,)
+
+    return custom_op(name, (x,), 2.0 * x.data, bwd)
+
+
+def test_backward_stops_at_lowest_target():
+    calls = {}
+    with Tape() as tape:
+        x = Tensor([1.0, -2.0, 0.5], requires_grad=True)
+        a = _counted("a", x, calls)
+        b = _counted("b", relu(a), calls)
+        loss = weighted_sum(mul(b, b), [0.3, 1.1, -0.7])
+        short = tape.backward(loss, [b])
+        assert calls == {}  # nothing at or below b was replayed
+        full = tape.backward(loss, [x, b])
+    assert calls == {"a": 1, "b": 1}
+    assert short[b].data.tobytes() == full[b].data.tobytes()
+
+
+def test_shared_node_gets_summed_gradient_and_replays_agree():
+    # h feeds an add twice (the add's rule hands back one array for both
+    # inputs) and a mean: accumulation must not write into stored buffers
+    rng = np.random.default_rng(8)
+    w = rng.standard_normal(4)
+    with Tape() as tape:
+        x = Tensor(rng.standard_normal(4), requires_grad=True)
+        h = relu(x)
+        s = add(h, h)
+        loss = add(weighted_sum(s, w), tmean(h))
+        g1 = tape.backward(loss, [x, h, s])
+        g2 = tape.backward(loss, [x, h, s])
+    assert np.allclose(g1[s].data, w.astype(np.float32))
+    assert np.allclose(g1[h].data, 2.0 * w + 0.25, atol=1e-6)
+    for node in (x, h, s):
+        assert g1[node].data.tobytes() == g2[node].data.tobytes()
 
 
 def test_mlp_finite_difference():
@@ -269,6 +316,10 @@ def test_nonscalar_loss_rejected():
         y = mul(x, x)
         with pytest.raises(ShapeError):
             tape.backward(y, [x])
+        with pytest.raises(ShapeError):
+            tape.backward([(y, 0.5)], [x])
+        with pytest.raises(TapeError):
+            tape.backward([], [x])
 
 
 def test_target_off_tape_rejected():
@@ -284,6 +335,14 @@ def test_nested_tape_rejected():
         with pytest.raises(TapeError):
             with Tape():
                 pass
+
+
+def test_tape_slot_is_released_on_error():
+    with pytest.raises(ShapeError):
+        with Tape():
+            add(Tensor([1.0, 2.0]), Tensor([1.0, 2.0, 3.0]))
+    with Tape() as tape:
+        assert len(tape) == 0
 
 
 def test_no_tape_means_no_recording():

@@ -1,10 +1,12 @@
 import json
+import math
 
 import numpy as np
 import pytest
 
 from edgediag.datagen import ConditionSpec, SampleSet, SplitCounts, fault_taxonomy, make_splits
-from edgediag.losses import KernelConfig, weights_from_norms
+from edgediag import layers
+from edgediag.losses import KernelConfig, LossTerms, adaptive_weights, weights_from_norms
 from edgediag.models import ModelConfig, build_model, freeze_pre_fe, share_pre_fe
 from edgediag.training import (
     Adam,
@@ -12,6 +14,7 @@ from edgediag.training import (
     EpochReport,
     TrainConfig,
     TrainingDiverged,
+    VARIANTS,
     cosine_lr,
     evaluate,
     one_hot,
@@ -20,6 +23,7 @@ from edgediag.training import (
     transfer_edge,
     write_reports,
 )
+from edgediag.tensor import Tape
 
 TINY_MODEL = ModelConfig(
     input_shape=(2, 8, 8),
@@ -243,6 +247,79 @@ def test_transfer_schedule_switch_visible_in_reports():
             assert r.alpha == 0.0 and r.beta == 1.0
 
 
+def _shared_edge(c, seed=9):
+    e = build_model(XFER_MODEL, "edge", seed)
+    share_pre_fe(c, e)
+    freeze_pre_fe(e)
+    return e
+
+
+def test_weighted_step_replays_each_edge_conv_once(monkeypatch):
+    calls = []
+    plain = layers.custom_op
+
+    def counting(op, inputs, out_data, backward_fn):
+        slot = len(calls)
+        calls.append(0)
+
+        def bwd(g):
+            calls[slot] += 1
+            return backward_fn(g)
+
+        out = plain(op, inputs, out_data, bwd if op == "conv2d" else backward_fn)
+        if op != "conv2d" or out.node is None:
+            calls.pop()  # untaped (precomputed) forwards never run backward
+        return out
+
+    splits, c = _xfer_fixture(seed=2)
+    monkeypatch.setattr(layers, "custom_op", counting)
+    reports = transfer_edge(c, _shared_edge(c), splits.d_finetune_src, splits.d_finetune_tgt,
+                            TrainConfig(batch_size=6, num_epoch=2, seed=5))
+    assert reports[0].w_a > 0.0 and reports[1].w_a == 0.0  # weighted, then not
+    steps = 2 * math.ceil(len(splits.d_finetune_tgt) / 6)
+    assert len(calls) == 8 * steps  # four depthwise-separable stages, two convs each
+    assert set(calls) == {1}
+
+
+@pytest.mark.parametrize("variant", ["proposed", "wo_adaptation_adjustment"])
+def test_one_step_update_is_the_weighted_sum_of_two_passes(variant, monkeypatch):
+    calls, steps = [], []
+    plain_backward, plain_step = Tape.backward, Adam.step
+
+    def logged_backward(tape, loss, targets):
+        targets = list(targets)  # kept as node ids: parameters move to each new tape
+        calls.append((tape, loss, [t.node for t in targets]))
+        return plain_backward(tape, loss, targets)
+
+    def logged_step(adam, lr, grads):
+        steps.append({name: np.array(g, dtype=np.float64) for name, g in grads.items()})
+        return plain_step(adam, lr, grads)
+
+    splits, c = _xfer_fixture(seed=3)
+    e = _shared_edge(c)
+    names = [n for n, _ in e.store.optimizable()]
+    monkeypatch.setattr(Tape, "backward", logged_backward)
+    monkeypatch.setattr(Adam, "step", logged_step)
+    transfer_edge(c, e, splits.d_finetune_src, splits.d_finetune_tgt,
+                  TrainConfig(batch_size=6, num_epoch=10, seed=4), variant=variant)
+
+    # the first step's weighted pass, checked against two full replays
+    tape, seeds, targets = calls[2 if variant == "proposed" else 0]
+    (l_f, alpha), (l_c, beta) = seeds
+    feat = calls[0][2] if variant == "proposed" else []  # the short passes' one target
+    g_f = plain_backward(tape, l_f, feat + targets)
+    g_c = plain_backward(tape, l_c, feat + targets)
+    if variant == "proposed":
+        w = adaptive_weights(g_f, g_c, feat[0], LossTerms(l_f.item(), l_c.item()))
+        assert (alpha, beta) == (w.alpha, w.beta)
+    else:
+        assert (alpha, beta) == (1.0, 1.0)
+    for name, t in zip(names, targets):
+        want = alpha * g_f[t].data.astype(np.float64) + beta * g_c[t].data.astype(np.float64)
+        scale = max(float(np.max(np.abs(want))), 1e-12)
+        assert float(np.max(np.abs(steps[0][name] - want))) <= 1e-6 * scale, name
+
+
 def test_wo_aa_matches_proposed_in_symmetric_case():
     # alpha = beta = 1 exactly when both losses and both gradient norms agree
     w = weights_from_norms(0.8, 0.8, 2.0, 2.0)
@@ -311,6 +388,24 @@ def test_report_record_roundtrip():
     rec = r.to_record()
     assert rec["epoch"] == 3 and "wall_time_s" not in rec
     assert json.loads(json.dumps(rec)) == rec
+
+
+def test_report_weights_are_trailing_fields():
+    r = EpochReport(3, 0.5, 1.5, 0.9, 1.1, 1e-3, 0.8, 12.5)
+    assert (r.w_a, r.w_b) == (0.0, 0.0)
+    rec = EpochReport(3, 0.5, 1.5, 0.9, 1.1, 1e-3, 0.8, 12.5, 2.0, 0.25).to_record()
+    assert (rec["w_a"], rec["w_b"]) == (2.0, 0.25)
+
+
+def test_transfer_reports_gradient_norms_only_for_adaptive_steps():
+    splits, c = _xfer_fixture(seed=1)
+    cfg = TrainConfig(batch_size=6, num_epoch=10, seed=3)
+    for variant in VARIANTS:
+        reports = transfer_edge(c, _shared_edge(c, 2), splits.d_finetune_src,
+                                splits.d_finetune_tgt, cfg, variant=variant)
+        adaptive = [variant == "proposed" and r.epoch <= 9 for r in reports]
+        assert [r.w_a > 0.0 and r.w_b > 0.0 for r in reports] == adaptive
+        assert all(r.w_a == r.w_b == 0.0 for r, a in zip(reports, adaptive) if not a)
 
 
 def test_one_hot_shape_and_values():
