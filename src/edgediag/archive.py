@@ -24,6 +24,7 @@ model kind and config hash, each failure with its own error type.
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 import tempfile
@@ -107,12 +108,18 @@ class Manifest:
 
     @classmethod
     def from_json(cls, text: str) -> "Manifest":
+        """ValueError unless the text is a JSON object with integer seed fields."""
         raw = json.loads(text)
+        if not isinstance(raw, dict):
+            raise ValueError(f"expected a JSON object, got {type(raw).__name__}")
+        for key in ("seed", "source_condition"):
+            if type(raw.get(key, 0)) is not int:
+                raise ValueError(f"{key} must be an integer, got {raw[key]!r}")
         return cls(
             kind=raw.get("kind", ""),
             config_hash=raw.get("config_hash", ""),
-            seed=int(raw.get("seed", 0)),
-            source_condition=int(raw.get("source_condition", 0)),
+            seed=raw.get("seed", 0),
+            source_condition=raw.get("source_condition", 0),
             metadata=raw.get("metadata", {}),
         )
 
@@ -196,19 +203,18 @@ def _read_blob(path) -> bytes:
         return fh.read()
 
 
-def _parse(blob: bytes, verify_crc: bool = True):
+def _parse(blob: bytes):
     if len(blob) < len(MAGIC) + 4:
         raise TruncatedError("file shorter than the fixed header")
     if blob[:len(MAGIC)] != MAGIC:
         raise BadMagicError(f"bad magic {blob[:8]!r}, expected {MAGIC!r}")
-    if verify_crc:
-        if len(blob) < len(MAGIC) + 8:
-            raise TruncatedError("file ends before the checksum")
-        stored = struct.unpack("<I", blob[-4:])[0]
-        actual = zlib.crc32(blob[:-4]) & 0xFFFFFFFF
-        if stored != actual:
-            raise CrcError(f"checksum mismatch: stored {stored:#010x}, actual {actual:#010x}")
-    rd = _Reader(blob[:-4] if verify_crc else blob)
+    if len(blob) < len(MAGIC) + 8:
+        raise TruncatedError("file ends before the checksum")
+    stored = struct.unpack("<I", blob[-4:])[0]
+    actual = zlib.crc32(blob[:-4]) & 0xFFFFFFFF
+    if stored != actual:
+        raise CrcError(f"checksum mismatch: stored {stored:#010x}, actual {actual:#010x}")
+    rd = _Reader(blob[:-4])
     rd.take(len(MAGIC), "magic")
     version = rd.u32("version")
     if version != VERSION:
@@ -222,11 +228,13 @@ def _parse(blob: bytes, verify_crc: bool = True):
     entries = []
     for i in range(count):
         nlen = rd.u16(f"entry {i} name length")
-        name = rd.take(nlen, f"entry {i} name").decode("utf-8")
+        try:
+            name = rd.take(nlen, f"entry {i} name").decode("utf-8")
+        except UnicodeDecodeError:
+            raise TruncatedError(f"entry {i} name is not UTF-8") from None
         ndim = rd.u8(f"entry {i} rank")
         dims = tuple(rd.u32(f"entry {i} dim") for _ in range(ndim))
-        numel = int(np.prod(dims)) if dims else 1
-        payload = rd.take(4 * numel, f"entry {i} payload")
+        payload = rd.take(4 * math.prod(dims), f"entry {i} payload")
         arr = np.frombuffer(payload, dtype="<f4").reshape(dims).copy()
         entries.append((name, arr))
     if rd.pos != len(rd.blob):

@@ -38,7 +38,6 @@ from .models import build_model, freeze_pre_fe, share_pre_fe
 from .training import (
     TrainingDiverged,
     evaluate,
-    run_ablation,
     train_cloud,
     transfer_edge,
     write_reports,
@@ -116,6 +115,39 @@ def _load_model(cfg: ExperimentConfig, path, kind=None):
 
 
 # ---------------------------------------------------------------------------
+# the two pipeline stages, shared by their subcommands and the grid
+
+def _cloud_stage(cfg: ExperimentConfig, splits, seed: int, weights, metrics, timing):
+    """Build and train the cloud model; save its archive and epoch reports."""
+    model = build_model(cfg.model_config(), "cloud", seed=seed)
+    reports = train_cloud(model, splits.d_training, cfg.cloud_train_config(seed))
+    save_archive(model.store, _model_manifest(cfg, "cloud", seed), _prepare_file(weights))
+    write_reports(reports, _prepare_file(metrics), _prepare_file(timing))
+    return model, reports
+
+
+def _edge_stage(cfg: ExperimentConfig, c_model, splits, seed: int, variant: str,
+                weights, metrics, timing):
+    """Build the edge model, share and freeze the cloud's pre_fe, transfer
+    with one variant; save its archive and epoch reports. Every variant of
+    one seed starts from the same state, which keeps the ablation controlled."""
+    e_model = build_model(cfg.model_config(), "edge", seed=_edge_seed(seed))
+    share_pre_fe(c_model, e_model)
+    freeze_pre_fe(e_model)
+    reports = transfer_edge(
+        c_model,
+        e_model,
+        splits.d_finetune_src,
+        splits.d_finetune_tgt,
+        cfg.transfer_train_config(seed),
+        variant=variant,
+    )
+    save_archive(e_model.store, _model_manifest(cfg, "edge", seed), _prepare_file(weights))
+    write_reports(reports, _prepare_file(metrics), _prepare_file(timing))
+    return e_model
+
+
+# ---------------------------------------------------------------------------
 # subcommands
 
 def cmd_gen_data(args) -> int:
@@ -137,10 +169,9 @@ def cmd_train_cloud(args) -> int:
     _echo_config(cfg, os.path.dirname(args.out_weights) or ".")
     seed = cfg["run.seed"] if args.seed is None else args.seed
     splits = _load_dataset(cfg, args.data)
-    model = build_model(cfg.model_config(), "cloud", seed=seed)
-    reports = train_cloud(model, splits.d_training, cfg.cloud_train_config(seed))
-    save_archive(model.store, _model_manifest(cfg, "cloud", seed), _prepare_file(args.out_weights))
-    write_reports(reports, _prepare_file(args.metrics), args.metrics + ".timing")
+    _, reports = _cloud_stage(
+        cfg, splits, seed, args.out_weights, args.metrics, args.metrics + ".timing"
+    )
     final = reports[-1].train_accuracy if reports else float("nan")
     print(f"cloud model written: {args.out_weights} (train accuracy {final:.4f})")
     return EXIT_OK
@@ -152,19 +183,8 @@ def cmd_transfer(args) -> int:
     seed = cfg["run.seed"] if args.seed is None else args.seed
     splits = _load_dataset(cfg, args.data)
     c_model, _ = _load_model(cfg, args.cloud_weights, kind="cloud")
-    e_model = build_model(cfg.model_config(), "edge", seed=_edge_seed(seed))
-    share_pre_fe(c_model, e_model)
-    freeze_pre_fe(e_model)
-    reports = transfer_edge(
-        c_model,
-        e_model,
-        splits.d_finetune_src,
-        splits.d_finetune_tgt,
-        cfg.transfer_train_config(seed),
-        variant=VARIANT_NAMES[args.variant],
-    )
-    save_archive(e_model.store, _model_manifest(cfg, "edge", seed), _prepare_file(args.out_weights))
-    write_reports(reports, _prepare_file(args.metrics), args.metrics + ".timing")
+    _edge_stage(cfg, c_model, splits, seed, VARIANT_NAMES[args.variant],
+                args.out_weights, args.metrics, args.metrics + ".timing")
     print(f"edge model written: {args.out_weights} (variant {args.variant})")
     return EXIT_OK
 
@@ -220,36 +240,22 @@ def cmd_bench(args) -> int:
 # the full ablation grid
 
 def _run_seed(cfg: ExperimentConfig, seed: int, out_dir: str) -> dict:
+    """Both stages for one seed; {variant: test accuracy of its edge model}."""
     src, tgt = cfg.conditions()
     splits = make_splits(src, tgt, cfg.faults(), cfg.split_counts(), seed=seed)
-    c_model = build_model(cfg.model_config(), "cloud", seed=seed)
-    cloud_reports = train_cloud(c_model, splits.d_training, cfg.cloud_train_config(seed))
     tag = f"seed{seed:03d}"
-    save_archive(
-        c_model.store, _model_manifest(cfg, "cloud", seed),
-        os.path.join(out_dir, "weights", f"{tag}_cloud.edgewts"),
-    )
-    write_reports(
-        cloud_reports,
-        os.path.join(out_dir, "metrics", f"{tag}_cloud.jsonl"),
-        os.path.join(out_dir, "timings", f"{tag}_cloud.jsonl"),
-    )
-    result = {"cloud_train_accuracy": cloud_reports[-1].train_accuracy if cloud_reports else 0.0}
+
+    def paths(weights_name: str, name: str) -> tuple:
+        return (os.path.join(out_dir, "weights", f"{tag}_{weights_name}.edgewts"),
+                os.path.join(out_dir, "metrics", f"{tag}_{name}.jsonl"),
+                os.path.join(out_dir, "timings", f"{tag}_{name}.jsonl"))
+
+    c_model, _ = _cloud_stage(cfg, splits, seed, *paths("cloud", "cloud"))
+    result = {}
     for cli_name, variant in VARIANT_NAMES.items():
-        accuracy, conf, e_model, reports = run_ablation(
-            variant, c_model, splits, e_seed=_edge_seed(seed),
-            cfg=cfg.transfer_train_config(seed),
-        )
-        save_archive(
-            e_model.store, _model_manifest(cfg, "edge", seed),
-            os.path.join(out_dir, "weights", f"{tag}_edge_{cli_name}.edgewts"),
-        )
-        write_reports(
-            reports,
-            os.path.join(out_dir, "metrics", f"{tag}_{cli_name}.jsonl"),
-            os.path.join(out_dir, "timings", f"{tag}_{cli_name}.jsonl"),
-        )
-        result[variant] = accuracy
+        e_model = _edge_stage(cfg, c_model, splits, seed, variant,
+                              *paths(f"edge_{cli_name}", cli_name))
+        result[variant] = evaluate(e_model, splits.d_test)[0]
     return result
 
 

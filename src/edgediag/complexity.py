@@ -5,7 +5,7 @@ Conventions, fixed and auditable:
 * FLOPs = 2 x multiply-accumulates. A convolution producing C' x H' x W'
   from C input channels with a k_h x k_w kernel in g groups costs
   2 * C'H'W' * (C/g * k_h * k_w), plus H'W'C' adds when biased. A dense
-  layer costs 2 * in * out plus out when biased.
+  layer costs 2 * in * out plus out for its bias.
 * Batch norm counts 2 ops per output element (scale, shift); ReLU,
   residual adds and pooling count 1 op per element they touch.
 * Params counts trainable elements only (batch-norm running statistics
@@ -89,13 +89,15 @@ class ModelStats:
             ("total", "", "", str(self.total_params),
              str(self.total_memory_bytes), str(self.total_flops))
         )
-        widths = [max(len(r[i]) for r in rows) for i in range(6)]
-        lines = []
-        for i, r in enumerate(rows):
-            lines.append("  ".join(c.ljust(w) for c, w in zip(r, widths)).rstrip())
-            if i == 0:
-                lines.append("-" * (sum(widths) + 10))
-        return "\n".join(lines)
+        return _table(rows)
+
+
+def _table(rows) -> str:
+    """Left-aligned columns two spaces apart, a dashed rule under the header row."""
+    widths = [max(len(r[i]) for r in rows) for i in range(len(rows[0]))]
+    lines = ["  ".join(c.ljust(w) for c, w in zip(r, widths)).rstrip() for r in rows]
+    lines.insert(1, "-" * (sum(widths) + 2 * (len(widths) - 1)))
+    return "\n".join(lines)
 
 
 def _numel(shape) -> int:
@@ -117,12 +119,8 @@ def conv_stats(layer: Conv2dLayer, out_shape) -> tuple:
 
 def dense_stats(layer: DenseLayer) -> tuple:
     """(params, flops) of one dense layer."""
-    flops = 2 * layer.in_features * layer.out_features
-    params = layer.weight.size
-    if layer.bias is not None:
-        params += layer.bias.size
-        flops += layer.out_features
-    return params, flops
+    flops = 2 * layer.in_features * layer.out_features + layer.out_features
+    return layer.weight.size + layer.bias.size, flops
 
 
 def analyze(model, input_shape: Optional[tuple] = None) -> ModelStats:
@@ -248,10 +246,4 @@ def format_comparison(stats_by_name: dict, bench_by_name: Optional[dict] = None)
             b = bench_by_name.get(name)
             row.append(f"{b.mean_ms:.3f} +/- {b.std_ms:.3f}" if b else "-")
         rows.append(tuple(row))
-    widths = [max(len(r[i]) for r in rows) for i in range(len(rows[0]))]
-    lines = []
-    for i, r in enumerate(rows):
-        lines.append("  ".join(c.ljust(w) for c, w in zip(r, widths)).rstrip())
-        if i == 0:
-            lines.append("-" * (sum(widths) + 2 * (len(widths) - 1)))
-    return "\n".join(lines)
+    return _table(rows)

@@ -310,11 +310,6 @@ def make_splits(
             length=counts.n_train * WINDOW_LEN,
         )
         windows = window_and_reshape(sig)
-        if len(windows) < counts.n_train:
-            raise DataError(
-                f"class {fault.label}: need {counts.n_train} source windows, "
-                f"have {len(windows)}"
-            )
         order = src_rng.permutation(len(windows))
         train_idx = order[:counts.n_train]
         for i in train_idx:
@@ -334,10 +329,6 @@ def make_splits(
             length=need * WINDOW_LEN,
         )
         windows = window_and_reshape(sig)
-        if len(windows) < need:
-            raise DataError(
-                f"class {fault.label}: need {need} target windows, have {len(windows)}"
-            )
         order = tgt_rng.permutation(len(windows))
         for i in order[:counts.n_finetune]:
             ft_x.append(windows[i])

@@ -268,18 +268,12 @@ class BatchNormLayer:
     eval regardless of the training flag and never updates its stats.
     """
 
-    def __init__(
-        self,
-        store: ParamStore,
-        name: str,
-        channels: int,
-        momentum: float = 0.1,
-        eps: float = 1e-5,
-    ):
+    momentum = 0.1
+    eps = 1e-5
+
+    def __init__(self, store: ParamStore, name: str, channels: int):
         self.name = name
         self.channels = channels
-        self.momentum = momentum
-        self.eps = eps
         self.training = True
         self.frozen = False
         self.gamma = store.add(name + ".gamma", Tensor(np.ones(channels, dtype=np.float32)))
@@ -361,7 +355,6 @@ class DenseLayer:
         name: str,
         in_features: int,
         out_features: int,
-        bias: bool = True,
         rng: Optional[np.random.Generator] = None,
     ):
         self.name = name
@@ -372,11 +365,7 @@ class DenseLayer:
             name + ".weight",
             Tensor(he_uniform(rng, (out_features, in_features), in_features)),
         )
-        self.bias = (
-            store.add(name + ".bias", Tensor(np.zeros(out_features, dtype=np.float32)))
-            if bias
-            else None
-        )
+        self.bias = store.add(name + ".bias", Tensor(np.zeros(out_features, dtype=np.float32)))
 
     def forward(self, x: Tensor) -> Tensor:
         if x.data.ndim != 2 or x.shape[1] != self.in_features:
@@ -385,21 +374,15 @@ class DenseLayer:
             )
         x64 = x.data.astype(np.float64)
         w64 = self.weight.data.astype(np.float64)
-        out = x64 @ w64.T
-        bias_t = self.bias
-        if bias_t is not None:
-            out = out + bias_t.data.astype(np.float64)
-
+        out = x64 @ w64.T + self.bias.data.astype(np.float64)
         need_dx = x.requires_grad
 
         def bwd(g):
-            grads = [g @ w64 if need_dx else None, g.T @ x64]
-            if bias_t is not None:
-                grads.append(g.sum(axis=0))
-            return grads
+            return g @ w64 if need_dx else None, g.T @ x64, g.sum(axis=0)
 
-        inputs = (x, self.weight) + ((bias_t,) if bias_t is not None else ())
-        return label(custom_op("dense", inputs, out, bwd), self.name, self)
+        return label(
+            custom_op("dense", (x, self.weight, self.bias), out, bwd), self.name, self
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -444,8 +427,7 @@ class ResidualBlock:
     """conv-BN-ReLU-conv-BN plus shortcut, ReLU after the join.
 
     The shortcut is the identity when shapes already match; otherwise a
-    1x1 projection conv (with BN) is built. Passing projection="none"
-    when a projection would be required is a build-time error.
+    1x1 projection conv (with BN) is built.
     """
 
     def __init__(
@@ -455,7 +437,6 @@ class ResidualBlock:
         in_channels: int,
         out_channels: int,
         stride: int = 1,
-        projection: str = "auto",
         rng: Optional[np.random.Generator] = None,
     ):
         self.name = name
@@ -468,12 +449,7 @@ class ResidualBlock:
             store, name + ".conv2", out_channels, out_channels, 3, padding=1, rng=rng
         )
         self.bn2 = BatchNormLayer(store, name + ".bn2", out_channels)
-        needs_proj = in_channels != out_channels or stride != 1
-        if needs_proj and projection == "none":
-            raise BuildError(
-                f"{name}: shortcut needs a projection ({in_channels}->{out_channels}, stride {stride})"
-            )
-        if needs_proj:
+        if in_channels != out_channels or stride != 1:
             self.proj = Conv2dLayer(
                 store, name + ".proj", in_channels, out_channels, 1, stride=stride, rng=rng
             )

@@ -16,7 +16,7 @@ training stay fixed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional
 
 import numpy as np
@@ -132,7 +132,8 @@ class _PreFE:
 
 
 class _Model:
-    """Shared behavior of both networks, keyed off a ParamStore."""
+    """Shared body of both networks: ``pre_fe``, the posterior blocks a
+    subclass builds (``_build_blocks``), pooling, ``proj`` and the classifier."""
 
     kind = ""
     _pos_name = ""  # name prefix of the posterior block
@@ -142,19 +143,22 @@ class _Model:
         self.config = config
         self.seed = seed
         self.store = ParamStore()
-        self._rng = np.random.default_rng(seed)
-        self.pre_fe = _PreFE(self.store, config, self._rng)
+        rng = np.random.default_rng(seed)
+        self.pre_fe = _PreFE(self.store, config, rng)
+        self.blocks, width = self._build_blocks(self.pre_fe.out_channels, rng)
+        self.proj = DenseLayer(self.store, self._pos_name + ".proj", width, config.feature_dim, rng=rng)
+        self.classifier = DenseLayer(
+            self.store, "classifier", config.feature_dim, config.num_classes, rng=rng
+        )
         self._gap_name = self._pos_name + ".gap"
         self._proj_relu_name = self._pos_name + ".proj_relu"
 
-    # subclasses populate these
-    proj: DenseLayer
-    classifier: DenseLayer
+    def _build_blocks(self, in_c: int, rng: np.random.Generator) -> tuple:
+        """(posterior blocks in forward order, their output channel count)."""
+        raise NotImplementedError
 
     def bn_layers(self) -> list:
-        bns = list(self.pre_fe.bns)
-        bns.extend(self._pos_fe_bns())
-        return bns
+        return self.pre_fe.bns + [bn for b in self.blocks for bn in b.bn_layers()]
 
     def set_training(self, flag: bool) -> None:
         for bn in self.bn_layers():
@@ -164,7 +168,9 @@ class _Model:
         return self.pre_fe.forward(x)
 
     def features_from_pre_fe(self, h: Tensor) -> Tensor:
-        pooled = label(global_avg_pool(self._pos_fe_forward(h)), self._gap_name)
+        for b in self.blocks:
+            h = b.forward(h)
+        pooled = label(global_avg_pool(h), self._gap_name)
         return label(relu(self.proj.forward(pooled)), self._proj_relu_name)
 
     def forward_features(self, x: Tensor) -> Tensor:
@@ -207,12 +213,6 @@ class _Model:
             if e.op != "leaf"
         ]
 
-    def _pos_fe_bns(self) -> list:
-        raise NotImplementedError
-
-    def _pos_fe_forward(self, h: Tensor) -> Tensor:
-        raise NotImplementedError
-
 
 class CModel(_Model):
     """Deep residual cloud network."""
@@ -220,38 +220,22 @@ class CModel(_Model):
     kind = "cloud"
     _pos_name = "c_pos_fe"
 
-    def __init__(self, config: ModelConfig, seed: int):
-        super().__init__(config, seed)
-        self.stages: List[List[ResidualBlock]] = []
-        in_c = self.pre_fe.out_channels
-        for si, width in enumerate(config.c_stage_channels, start=1):
-            blocks = []
-            for bi in range(config.c_blocks_per_stage):
+    def _build_blocks(self, in_c, rng):
+        blocks: List[ResidualBlock] = []
+        for si, width in enumerate(self.config.c_stage_channels, start=1):
+            for bi in range(self.config.c_blocks_per_stage):
                 blocks.append(
                     ResidualBlock(
                         self.store,
-                        f"c_pos_fe.stage{si}.block{bi + 1}",
+                        f"{self._pos_name}.stage{si}.block{bi + 1}",
                         in_c,
                         int(width),
                         stride=2 if bi == 0 else 1,
-                        rng=self._rng,
+                        rng=rng,
                     )
                 )
                 in_c = int(width)
-            self.stages.append(blocks)
-        self.proj = DenseLayer(self.store, "c_pos_fe.proj", in_c, config.feature_dim, rng=self._rng)
-        self.classifier = DenseLayer(
-            self.store, "classifier", config.feature_dim, config.num_classes, rng=self._rng
-        )
-
-    def _pos_fe_bns(self):
-        return [bn for blocks in self.stages for b in blocks for bn in b.bn_layers()]
-
-    def _pos_fe_forward(self, h):
-        for blocks in self.stages:
-            for b in blocks:
-                h = b.forward(h)
-        return h
+        return blocks, in_c
 
 
 class EModel(_Model):
@@ -260,29 +244,16 @@ class EModel(_Model):
     kind = "edge"
     _pos_name = "e_pos_fe"
 
-    def __init__(self, config: ModelConfig, seed: int):
-        super().__init__(config, seed)
-        self.blocks: List[DepthwiseSeparableBlock] = []
-        in_c = self.pre_fe.out_channels
-        for si, width in enumerate(config.e_stage_channels, start=1):
-            self.blocks.append(
+    def _build_blocks(self, in_c, rng):
+        blocks: List[DepthwiseSeparableBlock] = []
+        for si, width in enumerate(self.config.e_stage_channels, start=1):
+            blocks.append(
                 DepthwiseSeparableBlock(
-                    self.store, f"e_pos_fe.stage{si}", in_c, int(width), stride=2, rng=self._rng
+                    self.store, f"{self._pos_name}.stage{si}", in_c, int(width), stride=2, rng=rng
                 )
             )
             in_c = int(width)
-        self.proj = DenseLayer(self.store, "e_pos_fe.proj", in_c, config.feature_dim, rng=self._rng)
-        self.classifier = DenseLayer(
-            self.store, "classifier", config.feature_dim, config.num_classes, rng=self._rng
-        )
-
-    def _pos_fe_bns(self):
-        return [bn for b in self.blocks for bn in b.bn_layers()]
-
-    def _pos_fe_forward(self, h):
-        for b in self.blocks:
-            h = b.forward(h)
-        return h
+        return blocks, in_c
 
 
 def build_model(config: ModelConfig, kind: str, seed: int):

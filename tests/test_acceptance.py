@@ -404,7 +404,7 @@ def test_criterion_7_lightweight_ratios():
 # criterion 8: complexity analyzer exactness
 
 def test_criterion_8_analyzer_exactness():
-    dense = DenseLayer(ParamStore(), "d", 128, 10, bias=True)
+    dense = DenseLayer(ParamStore(), "d", 128, 10)
     assert dense_stats(dense) == (1290, 2570)
     conv = Conv2dLayer(ParamStore(), "c", 3, 8, 3, padding=1, bias=True)
     assert conv_stats(conv, (8, 8, 8)) == (224, 2 * 8 * 8 * 8 * 27 + 8 * 8 * 8)

@@ -146,6 +146,36 @@ def test_truncated_file_is_structured_error(tmp_path):
             load_archive(path)
 
 
+def _sealed(manifest: bytes, count: int = 0, entries: bytes = b"") -> bytes:
+    """A CRC-valid version-1 archive around the given raw sections."""
+    body = MAGIC + struct.pack("<II", 1, len(manifest)) + manifest
+    body += struct.pack("<I", count) + entries
+    return body + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF)
+
+
+_GOOD_MANIFEST = _manifest().to_json().encode()
+
+# CRC-valid files whose content is malformed; each must raise TruncatedError
+MALFORMED = {
+    "list_manifest": _sealed(b"[]"),
+    "null_seed": _sealed(b'{"kind":"cloud","seed":null}'),
+    "dims_overflow_int64": _sealed(
+        _GOOD_MANIFEST, 1, struct.pack("<H", 1) + b"w" + struct.pack("<BII", 2, 2**32 - 1, 2**32 - 1)
+    ),
+    "name_not_utf8": _sealed(
+        _GOOD_MANIFEST, 1, struct.pack("<H", 1) + b"\xff" + struct.pack("<BI", 1, 1) + bytes(4)
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_archive_is_truncated_error(tmp_path, case):
+    path = tmp_path / "w.edgewts"
+    path.write_bytes(MALFORMED[case])
+    with pytest.raises(TruncatedError):
+        load_archive(path)
+
+
 def test_load_subset_filters_by_prefix(tmp_path):
     cfg = ModelConfig()
     model = build_model(cfg, "cloud", seed=0)

@@ -10,6 +10,7 @@ from edgediag.config import ExperimentConfig, default_config_text
 from edgediag.datagen import load_splits
 from edgediag.models import build_model, freeze_pre_fe, share_pre_fe
 from edgediag.training import transfer_edge, write_reports
+from test_archive import MALFORMED
 
 TINY_CFG = """
 model.pre_fe_channels = 6
@@ -105,6 +106,21 @@ def test_transfer_cli_equals_library_run(workdir, tmp_path):
         assert cli_store[name].data.tobytes() == lib_store[name].data.tobytes()
 
 
+def test_variants_share_cloud_and_pre_fe(workdir, tmp_path):
+    cfg = ExperimentConfig.from_file(workdir["cfg"])
+    splits = load_splits(workdir["data"])
+    c_model, _ = cli._load_model(cfg, str(workdir["cloud"]), kind="cloud")
+    e1, e2 = (
+        cli._edge_stage(cfg, c_model, splits, cfg["run.seed"], variant,
+                        *(str(tmp_path / f"{variant}.{ext}") for ext in ("edgewts", "jsonl", "t")))
+        for variant in ("proposed", "wo_domain_adaptation")
+    )
+    for n in c_model.store.names():
+        if n.startswith("pre_fe."):
+            assert e1.store[n].data.tobytes() == c_model.store[n].data.tobytes()
+            assert e2.store[n].data.tobytes() == c_model.store[n].data.tobytes()
+
+
 def test_eval_reports_accuracy_and_confusion(workdir, tmp_path, capsys):
     report = tmp_path / "eval.txt"
     assert cli.main([
@@ -168,6 +184,17 @@ def test_corrupt_weights_is_archive_error(workdir, tmp_path, capsys):
     ])
     assert code == cli.EXIT_ARCHIVE
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("command", ["eval", "bench"])
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_weights_exit_5(workdir, tmp_path, capsys, command, case):
+    bad = tmp_path / "bad.edgewts"
+    bad.write_bytes(MALFORMED[case])
+    argv = [command, "--config", str(workdir["cfg"]), "--weights", str(bad)]
+    argv += ["--data", str(workdir["data"])] if command == "eval" else ["--iters", "1"]
+    assert cli.main(argv) == cli.EXIT_ARCHIVE
+    assert "code=5" in capsys.readouterr().err
 
 
 def test_divergence_maps_to_exit_4(workdir, monkeypatch, capsys, tmp_path):

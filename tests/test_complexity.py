@@ -28,7 +28,7 @@ TINY = ModelConfig(
 
 
 def test_dense_hand_count():
-    layer = DenseLayer(ParamStore(), "d", 128, 10, bias=True)
+    layer = DenseLayer(ParamStore(), "d", 128, 10)
     params, flops = dense_stats(layer)
     assert params == 1290  # 128*10 + 10
     assert flops == 2570   # 2*1280 + 10

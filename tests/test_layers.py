@@ -133,12 +133,14 @@ def test_residual_matches_composition_oracle():
     assert max_rel_err(got, want) < 1e-5
 
 
-def test_residual_projection_required_at_build_time():
-    with pytest.raises(BuildError, match="projection"):
-        ResidualBlock(ParamStore(), "r", 3, 5, projection="none")
-    # matching shapes: "none" is fine and the shortcut is the identity
-    block = ResidualBlock(ParamStore(), "r", 3, 3, projection="none")
-    assert block.proj is None
+def test_residual_projection_exactly_when_shape_changes():
+    for out_c, stride in [(3, 1), (5, 1), (3, 2), (5, 2)]:
+        store = ParamStore()
+        block = ResidualBlock(store, "r", 3, out_c, stride=stride)
+        needed = out_c != 3 or stride != 1
+        assert (block.proj is not None) == needed
+        assert (block.proj_bn is not None) == needed
+        assert ("r.proj.weight" in store) == needed
 
 
 # ---------------------------------------------------------------------------
