@@ -26,6 +26,7 @@ import numpy as np
 from .archive import (
     ArchiveError,
     Manifest,
+    ManifestMismatchError,
     load_archive,
     read_manifest,
     save_archive,
@@ -108,6 +109,8 @@ def _load_model(cfg: ExperimentConfig, path, kind=None):
         raise ArchiveError(f"weights archive not found: {path}")
     manifest = read_manifest(path)
     kind = kind or manifest.kind
+    if kind not in ("cloud", "edge"):
+        raise ManifestMismatchError(f"archive holds a {kind!r} model, expected 'cloud' or 'edge'")
     store = load_archive(path, _model_manifest(cfg, kind, manifest.seed))
     model = build_model(cfg.model_config(), kind, seed=manifest.seed)
     _apply_weights(model, store)
@@ -197,8 +200,7 @@ def cmd_eval(args) -> int:
     names = [f.name for f in cfg.faults()]
     text = conf.to_text(names)
     if args.report:
-        _ensure_dir(os.path.dirname(args.report) or ".")
-        with open(args.report, "w", encoding="utf-8") as fh:
+        with open(_prepare_file(args.report), "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
         with open(args.report + ".jsonl", "w", encoding="utf-8") as fh:
             fh.write(json.dumps(
@@ -215,8 +217,7 @@ def cmd_analyze(args) -> int:
     stats = analyze(model)
     print(stats.to_text())
     if args.report:
-        _ensure_dir(os.path.dirname(args.report) or ".")
-        with open(args.report, "w", encoding="utf-8") as fh:
+        with open(_prepare_file(args.report), "w", encoding="utf-8") as fh:
             fh.write(stats.to_text() + "\n")
     return EXIT_OK
 
@@ -230,8 +231,7 @@ def cmd_bench(args) -> int:
     print(f"model kind: {manifest.kind}")
     print(report.to_text())
     if args.report:
-        _ensure_dir(os.path.dirname(args.report) or ".")
-        with open(args.report, "w", encoding="utf-8") as fh:
+        with open(_prepare_file(args.report), "w", encoding="utf-8") as fh:
             fh.write(json.dumps(report.to_record()) + "\n")
     return EXIT_OK
 

@@ -3,9 +3,16 @@
 Convolution, batch norm and dense layers are registered on the tape as
 fused primitives with hand-derived backward rules (cheaper and easier to
 audit than composing them from elementwise ops). Convolution is grouped
-im2col: patches are gathered into a [groups, N*H'*W', C_g*kh*kw] matrix
-and contracted with a batched float64 GEMM, which covers standard,
-grouped and depthwise convolutions with a single code path. Like
+im2col, one code path for standard, grouped and depthwise convolutions:
+one casting copy fills a float64 patch matrix [groups, C_g*kh*kw, N*H'*W']
+(rows (c, kh, kw), columns (n, h', w')), a batched float64 GEMM with the
+weights gives the output, and the weight gradient reuses the matrix.
+For stride 1 the input gradient is the full correlation of the output
+gradient, padded by k-1-p (cropped where that is negative), with the
+flipped kernels, in and out channels swapped within each group (Chellapilla
+et al. 2006); it goes through the same patch builder, and a 1x1 kernel
+needs no patch matrix at all. Larger strides scatter the per-tap input
+gradient back in [C, N, H, W] order. Like
 ``lmmd``, each layer's backward rule returns None for an input that does
 not require a gradient (a data batch, or a frozen block's precomputed
 output), skipping that input-gradient computation entirely.
@@ -137,6 +144,31 @@ def _patch_view(xp: np.ndarray, kh: int, kw: int, stride: int, ho: int, wo: int)
     return np.lib.stride_tricks.as_strided(xp, shape, strides)
 
 
+def _pad_hw(a: np.ndarray, ph: int, pw: int) -> np.ndarray:
+    """Zero-pad the last two axes by ph and pw on each side; a negative amount crops."""
+    h, w = a.shape[-2:]
+    a = a[..., max(-ph, 0):h - max(-ph, 0), max(-pw, 0):w - max(-pw, 0)]
+    if ph <= 0 and pw <= 0:
+        return a
+    return np.pad(a, ((0, 0),) * (a.ndim - 2) + ((max(ph, 0),) * 2, (max(pw, 0),) * 2))
+
+
+def _patches(xp: np.ndarray, kh: int, kw: int, stride: int, groups: int) -> np.ndarray:
+    """Float64 patch matrix [groups, C_g*kh*kw, N*H'*W'] of a padded [N, C, H, W] array.
+
+    Rows follow (c, kh, kw) and columns (n, h', w'); one casting copy
+    from a strided view fills it.
+    """
+    n, c, h, w = xp.shape
+    ho = (h - kh) // stride + 1
+    wo = (w - kw) // stride + 1
+    cols = np.empty((groups, c // groups * kh * kw, n * ho * wo))
+    cols.reshape(c, kh, kw, n, ho, wo)[...] = (
+        _patch_view(xp, kh, kw, stride, ho, wo).transpose(1, 4, 5, 0, 2, 3)
+    )
+    return cols
+
+
 class Conv2dLayer:
     """2-D cross-correlation with optional grouping.
 
@@ -201,52 +233,45 @@ class Conv2dLayer:
         og = co // g
         kk = cg * kh * kw
 
-        xp = x.data
-        if p:
-            xp = np.pad(xp, ((0, 0), (0, 0), (p, p), (p, p)))
-        view = _patch_view(xp, kh, kw, s, ho, wo)
-        # [G, N*ho*wo, cg*kh*kw] float64 patch matrix
-        cols = (
-            view.reshape(n, g, cg, ho, wo, kh, kw)
-            .transpose(1, 0, 3, 4, 2, 5, 6)
-            .reshape(g, n * ho * wo, kk)
-            .astype(np.float64)
-        )
+        cols = _patches(_pad_hw(x.data, p, p), kh, kw, s, g)
         w2 = self.weight.data.reshape(g, og, kk).astype(np.float64)
-        out_b = cols @ w2.transpose(0, 2, 1)  # [G, N*ho*wo, og]
-        out = (
-            out_b.reshape(g, n, ho, wo, og)
-            .transpose(1, 0, 4, 2, 3)
-            .reshape(n, co, ho, wo)
-        )
+        out_b = w2 @ cols  # [G, og, N*ho*wo]
         if self.bias is not None:
-            out = out + self.bias.data.astype(np.float64).reshape(1, co, 1, 1)
+            out_b += self.bias.data.reshape(g, og, 1)
+        out = out_b.reshape(co, n, ho, wo).transpose(1, 0, 2, 3)
 
         bias_t = self.bias
         need_dx = x.requires_grad
-        in_shape = (n, c, h, w)
-        pad_shape = xp.shape
 
         def bwd(gout):
-            g_b = (
-                gout.reshape(n, g, og, ho, wo)
-                .transpose(1, 0, 3, 4, 2)
-                .reshape(g, n * ho * wo, og)
-            )
-            dw = (g_b.transpose(0, 2, 1) @ cols).reshape(self.weight.data.shape)
+            g_b = np.ascontiguousarray(gout.transpose(1, 0, 2, 3))  # [co, N, ho, wo]
+            g_m = g_b.reshape(g, og, n * ho * wo)
+            dw = (g_m @ cols.transpose(0, 2, 1)).reshape(self.weight.data.shape)
             dx = None
             if need_dx:
-                dcols = g_b @ w2  # [G, N*ho*wo, kk]
-                dpatch = (
-                    dcols.reshape(g, n, ho, wo, cg, kh, kw)
-                    .transpose(1, 0, 4, 2, 3, 5, 6)
-                    .reshape(n, c, ho, wo, kh, kw)
-                )
-                dxp = np.zeros(pad_shape, dtype=np.float64)
-                for i in range(kh):
-                    for j in range(kw):
-                        dxp[:, :, i:i + s * ho:s, j:j + s * wo:s] += dpatch[:, :, :, :, i, j]
-                dx = dxp[:, :, p:p + in_shape[2], p:p + in_shape[3]] if p else dxp
+                # dx in [c, N, h, w] order
+                if s == 1:
+                    # full correlation of the padded gradient with the flipped
+                    # kernels, in and out channels swapped within each group
+                    gp = _pad_hw(g_b, kh - 1 - p, kw - 1 - p)
+                    if (kh, kw) == (1, 1):
+                        dx = w2.transpose(0, 2, 1) @ gp.reshape(g, og, n * h * w)
+                    else:
+                        wt = (
+                            w2.reshape(g, og, cg, kh, kw)[..., ::-1, ::-1]
+                            .transpose(0, 2, 1, 3, 4)
+                            .reshape(g, cg, og * kh * kw)
+                        )
+                        dx = wt @ _patches(gp.transpose(1, 0, 2, 3), kh, kw, 1, g)
+                    dx = dx.reshape(c, n, h, w)
+                else:
+                    dcols = (w2.transpose(0, 2, 1) @ g_m).reshape(c, kh, kw, n, ho, wo)
+                    dxp = np.zeros((c, n, h + 2 * p, w + 2 * p))
+                    for i in range(kh):
+                        for j in range(kw):
+                            dxp[:, :, i:i + s * ho:s, j:j + s * wo:s] += dcols[:, i, j]
+                    dx = _pad_hw(dxp, -p, -p)
+                dx = dx.transpose(1, 0, 2, 3)
             grads = [dx, dw]
             if bias_t is not None:
                 grads.append(gout.sum(axis=(0, 2, 3)))

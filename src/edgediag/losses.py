@@ -27,7 +27,7 @@ epochs, then the classification term alone.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 

@@ -7,9 +7,7 @@ plain `pytest`.
 """
 
 import json
-import struct
 import time
-import zlib
 
 import numpy as np
 import pytest
@@ -33,7 +31,7 @@ from edgediag.tensor import (
     reshape,
     tmean,
 )
-from edgediag.training import TrainConfig, train_cloud, transfer_edge, evaluate
+from edgediag.training import TrainConfig, train_cloud, transfer_edge
 
 PASSED = "[PASS]"
 

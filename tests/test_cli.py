@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from edgediag import cli
-from edgediag.archive import Manifest, load_archive, read_manifest
+from edgediag.archive import Manifest, load_archive, read_manifest, save_archive
 from edgediag.config import ExperimentConfig, default_config_text
 from edgediag.datagen import load_splits
 from edgediag.models import build_model, freeze_pre_fe, share_pre_fe
@@ -195,6 +195,19 @@ def test_malformed_weights_exit_5(workdir, tmp_path, capsys, command, case):
     argv += ["--data", str(workdir["data"])] if command == "eval" else ["--iters", "1"]
     assert cli.main(argv) == cli.EXIT_ARCHIVE
     assert "code=5" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["eval", "bench"])
+def test_unknown_model_kind_exit_5(workdir, tmp_path, capsys, command):
+    bad = tmp_path / "gizmo.edgewts"
+    manifest = read_manifest(workdir["cloud"])
+    manifest.kind = "gizmo"
+    save_archive(load_archive(workdir["cloud"]), manifest, bad)
+    argv = [command, "--config", str(workdir["cfg"]), "--weights", str(bad)]
+    argv += ["--data", str(workdir["data"])] if command == "eval" else ["--iters", "1"]
+    assert cli.main(argv) == cli.EXIT_ARCHIVE
+    err = capsys.readouterr().err
+    assert "code=5" in err and "gizmo" in err
 
 
 def test_divergence_maps_to_exit_4(workdir, monkeypatch, capsys, tmp_path):

@@ -293,6 +293,73 @@ def test_fd_conv2d_grouped(seed):
     )
 
 
+# (kernel, stride, padding, groups, H, W, bias): both dx rules (stride 1 as a
+# correlation of the padded gradient, stride 2 as a scatter), a flipped-kernel
+# pad k-1-p below zero, even inputs whose last padded row a stride-2 conv skips
+CONV_LAYOUTS = [
+    (3, 1, 1, 1, 4, 5, True),
+    (3, 1, 0, 2, 5, 4, False),
+    (3, 1, 2, 4, 4, 4, False),
+    (3, 2, 1, 1, 4, 4, True),
+    (3, 2, 0, 4, 5, 5, False),
+    (3, 2, 2, 2, 5, 4, False),
+    (1, 1, 0, 1, 4, 5, True),
+    (1, 1, 1, 2, 4, 4, False),
+    (1, 2, 0, 1, 5, 5, False),
+    (1, 2, 0, 4, 4, 4, False),
+    ((1, 3), 1, 1, 1, 5, 4, False),
+    ((1, 3), 1, 2, 4, 4, 5, True),
+    ((1, 3), 2, 1, 2, 5, 5, False),
+]
+
+
+def _layout_case(i):
+    kernel, stride, pad, groups, h, w, bias = CONV_LAYOUTS[i]
+    kh, kw = (kernel, kernel) if isinstance(kernel, int) else kernel
+    rng = np.random.default_rng(900 + i)
+    arrays = [rng.standard_normal((2, 4, h, w)),
+              rng.standard_normal((4, 4 // groups, kh, kw)) * 0.5]
+    if bias:
+        arrays.append(rng.standard_normal(4) * 0.2)
+    layer = _conv(4, 4, kernel, stride=stride, padding=pad, groups=groups, bias=bias)
+    return layer, arrays, dict(stride=stride, padding=pad, groups=groups)
+
+
+@pytest.mark.parametrize("i", range(len(CONV_LAYOUTS)))
+def test_fd_conv2d_layouts(i):
+    layer, arrays, kw = _layout_case(i)
+
+    def engine(ts):
+        layer.weight = ts[1]
+        if len(ts) > 2:
+            layer.bias = ts[2]
+        return layer.forward(ts[0])
+
+    _layer_gradcheck(
+        engine,
+        lambda ar: oracles.conv2d_ref(ar[0], ar[1], ar[2] if len(ar) > 2 else None, **kw),
+        arrays,
+        i,
+    )
+
+
+@pytest.mark.parametrize("i", range(len(CONV_LAYOUTS)))
+def test_conv_input_without_grad_has_no_dx(i):
+    layer, arrays, _ = _layout_case(i)
+    layer.weight.data[...] = arrays[1]
+    params = [layer.weight] + ([layer.bias] if layer.bias is not None else [])
+    grads = {}
+    for needs in (True, False):
+        with Tape() as tape:
+            out = layer.forward(Tensor(arrays[0], requires_grad=needs))
+            gout = np.random.default_rng(i).standard_normal(out.shape)
+            grads[needs] = tape.entries[out.node].backward_fn(gout)
+    assert grads[True][0].shape == arrays[0].shape
+    assert grads[False][0] is None
+    for with_dx, without_dx in zip(grads[True][1:], grads[False][1:]):
+        assert with_dx.tobytes() == without_dx.tobytes()
+
+
 @pytest.mark.parametrize("seed", range(5))
 def test_fd_dense(seed):
     rng = np.random.default_rng(850 + seed)
