@@ -88,7 +88,15 @@ def _model_manifest(cfg: ExperimentConfig, kind: str, seed: int) -> Manifest:
 def _load_dataset(cfg: ExperimentConfig, path):
     if not os.path.exists(path):
         raise DataError(f"dataset archive not found: {path}")
-    return load_splits(path, _dataset_manifest(cfg, 0))
+    splits = load_splits(path, _dataset_manifest(cfg, 0))
+    shape, k = cfg.model_config().input_shape, cfg["model.num_classes"]
+    for name, split in vars(splits).items():
+        if split.x.shape[1:] != shape:
+            raise DataError(f"{name} samples have shape {list(split.x.shape[1:])}, "
+                            f"the model takes {list(shape)}")
+        if split.y.max() >= k:
+            raise DataError(f"{name} holds label {split.y.max()}, the model has {k} classes")
+    return splits
 
 
 def _apply_weights(model, store) -> None:
@@ -153,8 +161,7 @@ def _edge_stage(cfg: ExperimentConfig, c_model, splits, seed: int, variant: str,
 # ---------------------------------------------------------------------------
 # subcommands
 
-def cmd_gen_data(args) -> int:
-    cfg = ExperimentConfig.from_file(args.config)
+def cmd_gen_data(args, cfg: ExperimentConfig) -> int:
     _echo_config(cfg, args.out)
     seed = cfg["run.seed"] if args.seed is None else args.seed
     src, tgt = cfg.conditions()
@@ -167,8 +174,7 @@ def cmd_gen_data(args) -> int:
     return EXIT_OK
 
 
-def cmd_train_cloud(args) -> int:
-    cfg = ExperimentConfig.from_file(args.config)
+def cmd_train_cloud(args, cfg: ExperimentConfig) -> int:
     _echo_config(cfg, os.path.dirname(args.out_weights) or ".")
     seed = cfg["run.seed"] if args.seed is None else args.seed
     splits = _load_dataset(cfg, args.data)
@@ -180,8 +186,7 @@ def cmd_train_cloud(args) -> int:
     return EXIT_OK
 
 
-def cmd_transfer(args) -> int:
-    cfg = ExperimentConfig.from_file(args.config)
+def cmd_transfer(args, cfg: ExperimentConfig) -> int:
     _echo_config(cfg, os.path.dirname(args.out_weights) or ".")
     seed = cfg["run.seed"] if args.seed is None else args.seed
     splits = _load_dataset(cfg, args.data)
@@ -192,8 +197,7 @@ def cmd_transfer(args) -> int:
     return EXIT_OK
 
 
-def cmd_eval(args) -> int:
-    cfg = ExperimentConfig.from_file(args.config)
+def cmd_eval(args, cfg: ExperimentConfig) -> int:
     splits = _load_dataset(cfg, args.data)
     model, _ = _load_model(cfg, args.weights)
     accuracy, conf = evaluate(model, splits.d_test)
@@ -211,8 +215,7 @@ def cmd_eval(args) -> int:
     return EXIT_OK
 
 
-def cmd_analyze(args) -> int:
-    cfg = ExperimentConfig.from_file(args.config)
+def cmd_analyze(args, cfg: ExperimentConfig) -> int:
     model = build_model(cfg.model_config(), args.kind, seed=cfg["run.seed"])
     stats = analyze(model)
     print(stats.to_text())
@@ -222,8 +225,7 @@ def cmd_analyze(args) -> int:
     return EXIT_OK
 
 
-def cmd_bench(args) -> int:
-    cfg = ExperimentConfig.from_file(args.config)
+def cmd_bench(args, cfg: ExperimentConfig) -> int:
     model, manifest = _load_model(cfg, args.weights)
     report = bench_inference(
         model, repeats=args.repeats, iters=args.iters, warmup=args.warmup
@@ -307,8 +309,7 @@ def run_grid(cfg: ExperimentConfig, seeds, out_dir, bench: bool = False):
     return accuracies
 
 
-def cmd_reproduce(args) -> int:
-    cfg = ExperimentConfig.from_file(args.config)
+def cmd_reproduce(args, cfg: ExperimentConfig) -> int:
     seeds = [cfg["run.seed"] + i for i in range(args.seeds)]
     accuracies = run_grid(cfg, seeds, args.out, bench=args.bench)
     with open(os.path.join(args.out, "reports", "summary.txt"), encoding="utf-8") as fh:
@@ -320,7 +321,7 @@ def cmd_reproduce(args) -> int:
     return EXIT_OK
 
 
-def cmd_default_config(args) -> int:
+def cmd_default_config(args, cfg) -> int:
     sys.stdout.write(default_config_text())
     return EXIT_OK
 
@@ -405,9 +406,12 @@ _ERROR_CODES = (
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    cfg_path = getattr(args, "config", None)
+    cfg = None
     try:
-        return args.fn(args)
+        if hasattr(args, "config"):
+            cfg = ExperimentConfig.from_file(args.config)
+            cfg.validate()
+        return args.fn(args, cfg)
     except Exception as err:  # mapped to documented exit codes below
         for exc_type, code in _ERROR_CODES:
             if isinstance(err, exc_type):
@@ -415,12 +419,8 @@ def main(argv=None) -> int:
         else:
             raise
         print(f"error stage={args.stage} code={code}: {err}", file=sys.stderr)
-        if cfg_path and os.path.exists(cfg_path):
-            try:
-                echo = ExperimentConfig.from_file(cfg_path).echo_text()
-                sys.stderr.write(echo)
-            except ConfigError:
-                pass
+        if cfg is not None:
+            sys.stderr.write(cfg.echo_text())
         return code
 
 

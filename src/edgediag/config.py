@@ -189,30 +189,35 @@ class ExperimentConfig:
             feature_dim=self["model.feature_dim"],
         )
 
-    def cloud_train_config(self, seed: Optional[int] = None) -> TrainConfig:
+    def _train_config(self, stage: str, seed: Optional[int], **extra) -> TrainConfig:
+        keys = ("batch_size", "num_epoch", "lr_max", "lr_min", "smoothing_epsilon")
         return TrainConfig(
-            batch_size=self["cloud.batch_size"],
-            num_epoch=self["cloud.num_epoch"],
-            lr_max=self["cloud.lr_max"],
-            lr_min=self["cloud.lr_min"],
             seed=self["run.seed"] if seed is None else seed,
-            smoothing_epsilon=self["cloud.smoothing_epsilon"],
+            **{k: self[f"{stage}.{k}"] for k in keys},
+            **extra,
         )
 
+    def cloud_train_config(self, seed: Optional[int] = None) -> TrainConfig:
+        return self._train_config("cloud", seed)
+
     def transfer_train_config(self, seed: Optional[int] = None) -> TrainConfig:
-        return TrainConfig(
-            batch_size=self["transfer.batch_size"],
-            num_epoch=self["transfer.num_epoch"],
-            lr_max=self["transfer.lr_max"],
-            lr_min=self["transfer.lr_min"],
-            seed=self["run.seed"] if seed is None else seed,
-            smoothing_epsilon=self["transfer.smoothing_epsilon"],
+        return self._train_config(
+            "transfer", seed,
             delta=self["transfer.delta"],
             kernel=KernelConfig(
                 kernel_count=self["transfer.kernel_count"],
                 bandwidth_multiplier=self["transfer.bandwidth_multiplier"],
             ),
         )
+
+    def validate(self) -> None:
+        """Check the model and both training stages before any work starts."""
+        for prefix, view in (("model", self.model_config), ("cloud", self.cloud_train_config),
+                             ("transfer", self.transfer_train_config)):
+            try:
+                view().validate()
+            except ValueError as err:
+                raise ConfigError(f"{prefix}.*: {err}") from None
 
     def conditions(self) -> tuple:
         sigma = self["data.noise_sigma"]

@@ -249,9 +249,9 @@ class SampleSet:
 
 @dataclass
 class SplitCounts:
-    n_train: int = 250
-    n_finetune: int = 10
-    n_test: int = 100
+    n_train: int
+    n_finetune: int
+    n_test: int
 
 
 @dataclass
@@ -266,28 +266,38 @@ SOURCE_COND_ID = 0
 TARGET_COND_ID = 1
 
 
-def _stack(samples, labels, conds, role) -> SampleSet:
+def _stack(parts, role) -> SampleSet:
+    """One SampleSet from (windows, label, condition id) groups, in order."""
     return SampleSet(
-        x=np.stack(samples).astype(np.float32),
-        y=np.asarray(labels, dtype=np.int64),
-        cond=np.asarray(conds, dtype=np.int64),
+        x=np.stack([w for windows, _, _ in parts for w in windows]).astype(np.float32),
+        y=np.asarray([y for windows, y, _ in parts for _ in windows], dtype=np.int64),
+        cond=np.asarray([c for windows, _, c in parts for _ in windows], dtype=np.int64),
         role=role,
     )
+
+
+def _recording(cond: ConditionSpec, cond_id: int, fault: FaultSpec, seed: int, n: int):
+    """The ``n`` windows of one (condition, fault) recording in shuffled
+    order, and the rng that shuffled them."""
+    rng = np.random.default_rng([seed, cond_id, fault.label])
+    signal = generate_signal(cond, fault, seed=int(rng.integers(2**31)), length=n * WINDOW_LEN)
+    windows = window_and_reshape(signal)
+    return [windows[i] for i in rng.permutation(len(windows))], rng
 
 
 def make_splits(
     source_cond: ConditionSpec,
     target_cond: ConditionSpec,
     faults: Sequence[FaultSpec],
-    counts: SplitCounts = SplitCounts(),
-    seed: int = 0,
+    counts: SplitCounts,
+    seed: int,
 ) -> Splits:
     """Class-balanced training/fine-tuning/test splits.
 
-    Per class: the training set draws ``n_train`` source windows; the
-    source fine-tuning half is a random subset of those; the target
-    fine-tuning and test sets come from disjoint windows of one target
-    recording.
+    Per class: the training set holds the ``n_train`` windows of one
+    source recording; the source fine-tuning half is a random subset of
+    those; the target fine-tuning and test sets come from disjoint
+    windows of one target recording.
     """
     if counts.n_train < 1 or counts.n_finetune < 1 or counts.n_test < 1:
         raise DataError(f"split counts must be positive, got {counts}")
@@ -297,54 +307,20 @@ def make_splits(
             f"got {counts.n_finetune} > {counts.n_train}"
         )
 
-    tr_x, tr_y, tr_c = [], [], []
-    fs_x, fs_y, fs_c = [], [], []
-    ft_x, ft_y, ft_c = [], [], []
-    te_x, te_y, te_c = [], [], []
-
+    parts = {attr: [] for _, attr, _ in _SPLIT_KEYS}
     for fault in faults:
-        src_rng = np.random.default_rng([seed, SOURCE_COND_ID, fault.label])
-        sig = generate_signal(
-            source_cond, fault,
-            seed=int(src_rng.integers(2**31)),
-            length=counts.n_train * WINDOW_LEN,
-        )
-        windows = window_and_reshape(sig)
-        order = src_rng.permutation(len(windows))
-        train_idx = order[:counts.n_train]
-        for i in train_idx:
-            tr_x.append(windows[i])
-            tr_y.append(fault.label)
-            tr_c.append(SOURCE_COND_ID)
-        for i in src_rng.choice(train_idx, size=counts.n_finetune, replace=False):
-            fs_x.append(windows[i])
-            fs_y.append(fault.label)
-            fs_c.append(SOURCE_COND_ID)
-
-        tgt_rng = np.random.default_rng([seed, TARGET_COND_ID, fault.label])
-        need = counts.n_finetune + counts.n_test
-        sig = generate_signal(
-            target_cond, fault,
-            seed=int(tgt_rng.integers(2**31)),
-            length=need * WINDOW_LEN,
-        )
-        windows = window_and_reshape(sig)
-        order = tgt_rng.permutation(len(windows))
-        for i in order[:counts.n_finetune]:
-            ft_x.append(windows[i])
-            ft_y.append(fault.label)
-            ft_c.append(TARGET_COND_ID)
-        for i in order[counts.n_finetune:need]:
-            te_x.append(windows[i])
-            te_y.append(fault.label)
-            te_c.append(TARGET_COND_ID)
-
-    return Splits(
-        d_training=_stack(tr_x, tr_y, tr_c, "training"),
-        d_finetune_src=_stack(fs_x, fs_y, fs_c, "fine_tuning"),
-        d_finetune_tgt=_stack(ft_x, ft_y, ft_c, "fine_tuning"),
-        d_test=_stack(te_x, te_y, te_c, "test"),
-    )
+        src, rng = _recording(source_cond, SOURCE_COND_ID, fault, seed, counts.n_train)
+        fine = rng.choice(counts.n_train, size=counts.n_finetune, replace=False)
+        tgt, _ = _recording(target_cond, TARGET_COND_ID, fault, seed,
+                            counts.n_finetune + counts.n_test)
+        for attr, windows, cond_id in (
+            ("d_training", src, SOURCE_COND_ID),
+            ("d_finetune_src", [src[i] for i in fine], SOURCE_COND_ID),
+            ("d_finetune_tgt", tgt[:counts.n_finetune], TARGET_COND_ID),
+            ("d_test", tgt[counts.n_finetune:], TARGET_COND_ID),
+        ):
+            parts[attr].append((windows, fault.label, cond_id))
+    return Splits(**{attr: _stack(parts[attr], role) for _, attr, role in _SPLIT_KEYS})
 
 
 # ---------------------------------------------------------------------------
@@ -385,10 +361,24 @@ def load_splits(path, expected_manifest=None) -> Splits:
             cond = store[f"{key}.cond"].data
         except KeyError:
             raise DataError(f"dataset archive is missing the {key!r} split") from None
-        sets[attr] = SampleSet(
-            x=x,
-            y=np.round(y).astype(np.int64),
-            cond=np.round(cond).astype(np.int64),
-            role=role,
-        )
+        sets[attr] = _checked_split(key, x, y, cond, role)
     return Splits(**sets)
+
+
+def _checked_split(key: str, x, y, cond, role: str) -> SampleSet:
+    """A split read from an archive, or DataError naming the first rule it breaks."""
+    if x.ndim != 4 or x.shape[0] == 0:
+        raise DataError(f"{key!r} split: x must be [n >= 1, C, H, W], got {list(x.shape)}")
+    # min and max propagate NaN and reach +-inf without a temporary array
+    if not (np.isfinite(x.min()) and np.isfinite(x.max())):
+        raise DataError(f"{key!r} split: x holds a non-finite value")
+    ints = []
+    for name, arr in (("y", y), ("cond", cond)):
+        if arr.shape != (x.shape[0],):
+            raise DataError(
+                f"{key!r} split: {name} has shape {list(arr.shape)}, x has {x.shape[0]} rows"
+            )
+        if not np.all(np.isfinite(arr) & (arr >= 0) & (arr == np.floor(arr))):
+            raise DataError(f"{key!r} split: {name} must hold non-negative integers")
+        ints.append(arr.astype(np.int64))
+    return SampleSet(x=x, y=ints[0], cond=ints[1], role=role)

@@ -96,9 +96,6 @@ class AdaptiveWeights:
     beta: float
     w_a: float
     w_b: float
-    l_a: float
-    l_b: float
-    delta: float
 
 
 @dataclass(frozen=True)
@@ -294,7 +291,7 @@ def weights_from_norms(
     total = l_a + l_b
     alpha = (w_a / share) * (total / (l_a + delta))
     beta = (w_b / share) * (total / (l_b + delta))
-    return AdaptiveWeights(alpha=alpha, beta=beta, w_a=w_a, w_b=w_b, l_a=l_a, l_b=l_b, delta=delta)
+    return AdaptiveWeights(alpha=alpha, beta=beta, w_a=w_a, w_b=w_b)
 
 
 def adaptive_weights(

@@ -51,7 +51,6 @@ __all__ = [
     "reshape",
     "tmean",
     "relu",
-    "backward",
     "grad_l2_norm",
 ]
 
@@ -261,13 +260,6 @@ class Tape:
                 buf = np.zeros(self.entries[nid].shape, dtype=np.float64)
             grads[nid] = Tensor(buf.astype(np.float32))
         return GradientMap(grads)
-
-
-def backward(loss: Union[Tensor, Sequence[tuple]], targets: Iterable) -> "GradientMap":
-    """Backward pass on the active tape (see :meth:`Tape.backward`)."""
-    if _active is None:
-        raise TapeError("no active tape")
-    return _active.backward(loss, targets)
 
 
 class GradientMap:

@@ -1,5 +1,12 @@
 """Cloud-side supervised training and edge-side knowledge transfer.
 
+Both stages run one epoch loop, ``_fit``: per step it records the
+stage's forward pass on a fresh tape, runs one full backward pass of
+alpha * l_f + beta * l_c (weights applied in float64 at the seeds; the
+cloud stage has no l_f and alpha = 0, beta = 1), applies one Adam update
+at the cosine learning rate, and maps a non-finite value to
+``TrainingDiverged``. A stage supplies only its batches and its step.
+
 Transfer runs after the front block has been shared and frozen. Each
 iteration draws one class-balanced source batch and one target batch and
 computes the alignment loss between the (fixed) cloud features of the
@@ -25,8 +32,8 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from dataclasses import asdict, dataclass, field
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -40,7 +47,7 @@ from .losses import (
     lmmd,
     smoothed_cross_entropy,
 )
-from .models import CModel, EModel
+from .models import PRE_FE_PREFIX, CModel, EModel
 from .tensor import NonFiniteError, Tape, Tensor
 
 __all__ = [
@@ -92,6 +99,10 @@ class TrainConfig:
             raise ValueError(f"num_epoch must be >= 0, got {self.num_epoch}")
         if self.lr_max < self.lr_min:
             raise ValueError("lr_max must be >= lr_min")
+        if not 0.0 <= self.smoothing_epsilon < 1.0:
+            raise ValueError(f"smoothing_epsilon must be in [0, 1), got {self.smoothing_epsilon}")
+        if self.delta <= 0:
+            raise ValueError(f"delta must be positive, got {self.delta}")
         self.kernel.validate()
 
 
@@ -116,17 +127,7 @@ class EpochReport:
     w_b: float = 0.0
 
     def to_record(self) -> dict:
-        return {
-            "epoch": self.epoch,
-            "loss_feature": self.loss_feature,
-            "loss_classify": self.loss_classify,
-            "alpha": self.alpha,
-            "beta": self.beta,
-            "lr": self.lr,
-            "train_accuracy": self.train_accuracy,
-            "w_a": self.w_a,
-            "w_b": self.w_b,
-        }
+        return {k: v for k, v in asdict(self).items() if k != "wall_time_s"}
 
 
 @dataclass
@@ -240,6 +241,64 @@ def _class_pools(labels: np.ndarray) -> list:
 
 
 # ---------------------------------------------------------------------------
+# the epoch loop both stages share
+
+class _Step(NamedTuple):
+    """One recorded forward pass, as a stage's step function returns it."""
+    l_f: Optional[Tensor]  # alignment loss; None in a stage without one
+    l_c: Tensor            # classification loss
+    alpha: float
+    beta: float
+    logits: Tensor
+    labels: np.ndarray
+    norms: Optional[tuple] = None  # (w_a, w_b) of an adaptively weighted step
+
+
+def _column_means(rows: list, width: int) -> list:
+    return [float(np.mean(col)) for col in zip(*rows)] if rows else [0.0] * width
+
+
+def _fit(stage: str, store, cfg: TrainConfig, batches, step) -> list:
+    """Train the optimizable entries of ``store``; one EpochReport per epoch.
+
+    ``batches()`` yields one epoch's batches; ``step(tape, epoch, batch)``
+    records the forward pass on ``tape`` and returns a :class:`_Step`.
+    Reports hold per-step means; ``w_a``/``w_b`` average the adaptive steps.
+    """
+    adam = Adam(store)
+    params = store.optimizable()
+    targets = [t for _, t in params]
+    reports = []
+    for epoch in range(1, cfg.num_epoch + 1):
+        t0 = time.perf_counter()
+        lr = cosine_lr(epoch - 1, cfg.num_epoch, cfg.lr_max, cfg.lr_min)
+        rows, norms, hits, seen = [], [], 0, 0
+        for i, batch in enumerate(batches()):
+            try:
+                with Tape() as tape:
+                    s = step(tape, epoch, batch)
+                    seeds = [(s.l_f, s.alpha)] if s.alpha != 0.0 else []
+                    g = tape.backward(seeds + [(s.l_c, s.beta)], targets)
+                    grads = {name: g[t].data for name, t in params}
+            except NonFiniteError as err:
+                raise TrainingDiverged(stage, epoch, i, str(err))
+            adam.step(lr, grads)
+            l_f = 0.0 if s.l_f is None else s.l_f.item()
+            rows.append((l_f, s.l_c.item(), s.alpha, s.beta))
+            if s.norms is not None:
+                norms.append(s.norms)
+            hits += int(np.sum(np.argmax(s.logits.data, axis=1) == s.labels))
+            seen += len(s.labels)
+        loss_feature, loss_classify, alpha, beta = _column_means(rows, 4)
+        w_a, w_b = _column_means(norms, 2)
+        reports.append(EpochReport(
+            epoch, loss_feature, loss_classify, alpha, beta, lr,
+            hits / max(seen, 1), time.perf_counter() - t0, w_a, w_b,
+        ))
+    return reports
+
+
+# ---------------------------------------------------------------------------
 # stage 1: cloud training
 
 def train_cloud(model: CModel, d_training: SampleSet, cfg: TrainConfig) -> list:
@@ -247,60 +306,33 @@ def train_cloud(model: CModel, d_training: SampleSet, cfg: TrainConfig) -> list:
     cfg.validate()
     if np.any(d_training.cond != d_training.cond[0]):
         raise ValueError("cloud training data must come from a single condition")
-    k = model.config.num_classes
-    smoothing = SmoothingConfig(cfg.smoothing_epsilon, k)
+    smoothing = SmoothingConfig(cfg.smoothing_epsilon, model.config.num_classes)
     rng = np.random.default_rng([cfg.seed, 17])
-    adam = Adam(model.store)
-    params = model.store.optimizable()
+    labels_1h = one_hot(d_training.y, model.config.num_classes)
     model.set_training(True)
 
-    n = len(d_training)
-    labels_1h = one_hot(d_training.y, k)
-    reports = []
-    for epoch in range(1, cfg.num_epoch + 1):
-        t0 = time.perf_counter()
-        lr = cosine_lr(epoch - 1, cfg.num_epoch, cfg.lr_max, cfg.lr_min)
+    def batches():
+        n = len(d_training)
         order = rng.permutation(n)
-        losses, hits, seen = [], 0, 0
         for b0 in range(0, n, cfg.batch_size):
             idx = order[b0:b0 + cfg.batch_size]
-            if len(idx) < 2:
-                continue  # batch norm needs more than one row
-            xb = Tensor(d_training.x[idx])
-            try:
-                with Tape() as tape:
-                    logits = model.forward_logits(xb)
-                    loss = smoothed_cross_entropy(logits, labels_1h[idx], smoothing)
-                    grads = tape.backward(loss, [t for _, t in params])
-            except NonFiniteError as err:
-                raise TrainingDiverged("cloud training", epoch, b0 // cfg.batch_size, str(err))
-            adam.step(lr, {name: grads[t].data for name, t in params})
-            losses.append(loss.item())
-            hits += int(np.sum(np.argmax(logits.data, axis=1) == d_training.y[idx]))
-            seen += len(idx)
-        reports.append(
-            EpochReport(
-                epoch=epoch,
-                loss_feature=0.0,
-                loss_classify=float(np.mean(losses)) if losses else 0.0,
-                alpha=0.0,
-                beta=1.0,
-                lr=lr,
-                train_accuracy=hits / max(seen, 1),
-                wall_time_s=time.perf_counter() - t0,
-            )
-        )
-    return reports
+            if len(idx) >= 2:  # batch norm needs more than one row
+                yield Tensor(d_training.x[idx]), idx
+
+    def step(tape, epoch, batch):
+        xb, idx = batch
+        logits = model.forward_logits(xb)
+        loss = smoothed_cross_entropy(logits, labels_1h[idx], smoothing)
+        return _Step(None, loss, 0.0, 1.0, logits, d_training.y[idx])
+
+    return _fit("cloud training", model.store, cfg, batches, step)
 
 
 # ---------------------------------------------------------------------------
 # stage 2: edge knowledge transfer
 
-def _batched_no_tape(forward, x: np.ndarray, chunk: int = 64) -> np.ndarray:
-    outs = []
-    for i in range(0, x.shape[0], chunk):
-        outs.append(forward(Tensor(x[i:i + chunk])).data)
-    return np.concatenate(outs, axis=0)
+def _batched_no_tape(forward, x: np.ndarray) -> np.ndarray:
+    return np.concatenate([forward(Tensor(x[i:i + 64])).data for i in range(0, len(x), 64)])
 
 
 def transfer_edge(
@@ -322,7 +354,7 @@ def transfer_edge(
     cfg.validate()
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}, expected one of {VARIANTS}")
-    frozen = [n for n in e_model.store.names() if n.startswith("pre_fe.")]
+    frozen = [n for n in e_model.store.names() if n.startswith(PRE_FE_PREFIX)]
     if not frozen or not all(e_model.store.is_frozen(n) for n in frozen):
         raise ValueError("transfer requires share_pre_fe + freeze_pre_fe first")
 
@@ -335,82 +367,38 @@ def transfer_edge(
     c_model.set_training(False)
     f_src_all = _batched_no_tape(c_model.forward_features, d_finetune_src.x)
     h_tgt_all = _batched_no_tape(e_model.forward_pre_fe, d_finetune_tgt.x)
-
     e_model.set_training(True)
-    params = [(n, t) for n, t in e_model.store.optimizable()]
-    adam = Adam(e_model.store)
-    rng = np.random.default_rng([cfg.seed, 23])
 
+    rng = np.random.default_rng([cfg.seed, 23])
     src_pools = _class_pools(d_finetune_src.y)
     tgt_pools = _class_pools(d_finetune_tgt.y)
     tgt_1h = one_hot(d_finetune_tgt.y, k)
     iters = max(1, math.ceil(len(d_finetune_tgt) / cfg.batch_size))
 
-    reports = []
-    for epoch in range(1, cfg.num_epoch + 1):
-        t0 = time.perf_counter()
-        lr = cosine_lr(epoch - 1, cfg.num_epoch, cfg.lr_max, cfg.lr_min)
-        weighted_phase = in_weighted_phase(epoch, cfg.num_epoch)
-        lf_sum = lc_sum = a_sum = b_sum = wa_sum = wb_sum = 0.0
-        hits = seen = adaptive_steps = 0
-        for it in range(iters):
-            src_idx = _balanced_batch_indices(rng, src_pools, cfg.batch_size)
-            tgt_idx = _balanced_batch_indices(rng, tgt_pools, cfg.batch_size)
-            y_src = d_finetune_src.y[src_idx]
-            y_tgt = d_finetune_tgt.y[tgt_idx]
-            try:
-                with Tape() as tape:
-                    feat = e_model.features_from_pre_fe(Tensor(h_tgt_all[tgt_idx]))
-                    logits = e_model.classify(feat)
-                    l_c = smoothed_cross_entropy(logits, tgt_1h[tgt_idx], smoothing)
-                    l_f = lmmd(Tensor(f_src_all[src_idx]), feat, y_src, y_tgt, cfg.kernel)
-                    terms = LossTerms(l_f.item(), l_c.item())
+    def batches():
+        for _ in range(iters):
+            yield (_balanced_batch_indices(rng, src_pools, cfg.batch_size),
+                   _balanced_batch_indices(rng, tgt_pools, cfg.batch_size))
 
-                    if variant == "wo_domain_adaptation":
-                        alpha, beta = 0.0, 1.0
-                    elif variant == "wo_adaptation_adjustment":
-                        alpha, beta = 1.0, 1.0
-                    elif not weighted_phase:
-                        alpha, beta = 0.0, 1.0
-                    else:
-                        # short passes: stop at feat, above the edge blocks
-                        w = adaptive_weights(
-                            tape.backward(l_f, [feat]), tape.backward(l_c, [feat]),
-                            feat, terms, cfg.delta,
-                        )
-                        alpha, beta = w.alpha, w.beta
-                        wa_sum += w.w_a
-                        wb_sum += w.w_b
-                        adaptive_steps += 1
-
-                    # one full replay; alpha == 0 leaves the lmmd node unseeded
-                    seeds = [(l_c, beta)] if alpha == 0.0 else [(l_f, alpha), (l_c, beta)]
-                    g = tape.backward(seeds, [t for _, t in params])
-                    combined = {name: g[t].data for name, t in params}
-            except NonFiniteError as err:
-                raise TrainingDiverged("transfer", epoch, it, str(err))
-            adam.step(lr, combined)
-            lf_sum += terms.loss_feature
-            lc_sum += terms.loss_classify
-            a_sum += alpha
-            b_sum += beta
-            hits += int(np.sum(np.argmax(logits.data, axis=1) == y_tgt))
-            seen += len(tgt_idx)
-        reports.append(
-            EpochReport(
-                epoch=epoch,
-                loss_feature=lf_sum / iters,
-                loss_classify=lc_sum / iters,
-                alpha=a_sum / iters,
-                beta=b_sum / iters,
-                lr=lr,
-                train_accuracy=hits / max(seen, 1),
-                wall_time_s=time.perf_counter() - t0,
-                w_a=wa_sum / adaptive_steps if adaptive_steps else 0.0,
-                w_b=wb_sum / adaptive_steps if adaptive_steps else 0.0,
-            )
+    def step(tape, epoch, batch):
+        src_idx, tgt_idx = batch
+        y_tgt = d_finetune_tgt.y[tgt_idx]
+        feat = e_model.features_from_pre_fe(Tensor(h_tgt_all[tgt_idx]))
+        logits = e_model.classify(feat)
+        l_c = smoothed_cross_entropy(logits, tgt_1h[tgt_idx], smoothing)
+        l_f = lmmd(Tensor(f_src_all[src_idx]), feat, d_finetune_src.y[src_idx], y_tgt, cfg.kernel)
+        if variant == "wo_adaptation_adjustment":
+            return _Step(l_f, l_c, 1.0, 1.0, logits, y_tgt)
+        if variant == "wo_domain_adaptation" or not in_weighted_phase(epoch, cfg.num_epoch):
+            return _Step(l_f, l_c, 0.0, 1.0, logits, y_tgt)
+        # short passes: stop at feat, above the edge blocks
+        w = adaptive_weights(
+            tape.backward(l_f, [feat]), tape.backward(l_c, [feat]),
+            feat, LossTerms(l_f.item(), l_c.item()), cfg.delta,
         )
-    return reports
+        return _Step(l_f, l_c, w.alpha, w.beta, logits, y_tgt, (w.w_a, w.w_b))
+
+    return _fit("transfer", e_model.store, cfg, batches, step)
 
 
 # ---------------------------------------------------------------------------

@@ -164,6 +164,59 @@ def test_missing_dataset_is_data_error(workdir, capsys):
     assert "code=3" in capsys.readouterr().err
 
 
+def _poke(arr, value):
+    arr = arr.copy()
+    arr.flat[arr.size // 2] = value
+    return arr
+
+
+# each archive below keeps a valid checksum and the config's data hash;
+# case: (command it is fed to, archive entry, edit of that entry)
+MALFORMED_DATA = {
+    "label_out_of_range": ("eval", "test.y", lambda y: np.where(y == 0, 7.0, y)),
+    "negative_label": ("eval", "test.y", lambda y: y - 1.0),
+    "fractional_cond": ("train-cloud", "training.cond", lambda c: c + 0.5),
+    "test_labels_cut": ("eval", "test.y", lambda y: y[:10]),
+    "training_labels_cut": ("train-cloud", "training.y", lambda y: y[:10]),
+    "inf_in_finetune_target": ("transfer", "finetune_tgt.x", lambda x: _poke(x, np.inf)),
+    "inf_in_test": ("eval", "test.x", lambda x: _poke(x, np.inf)),
+    "nan_in_training": ("train-cloud", "training.x", lambda x: _poke(x, np.nan)),
+    "samples_not_4d": ("eval", "test.x", lambda x: x.reshape(x.shape[0], -1)),
+    "sample_shape_differs": ("eval", "test.x", lambda x: x[:, :, :16, :16]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_DATA))
+def test_malformed_dataset_exit_3(workdir, tmp_path, capsys, case):
+    command, entry, edit = MALFORMED_DATA[case]
+    store = load_archive(workdir["data"])
+    store[entry].data = edit(store[entry].data)
+    bad = tmp_path / "bad.edgewts"
+    save_archive(store, read_manifest(workdir["data"]), bad)
+    out = ["--out-weights", str(tmp_path / "w.edgewts"), "--metrics", str(tmp_path / "m.jsonl")]
+    argv = [command, "--config", str(workdir["cfg"]), "--data", str(bad)] + {
+        "eval": ["--weights", str(workdir["cloud"])],
+        "train-cloud": out,
+        "transfer": ["--cloud-weights", str(workdir["cloud"])] + out,
+    }[command]
+    assert cli.main(argv) == cli.EXIT_DATA
+    assert f"stage={command} code=3" in capsys.readouterr().err
+    assert not (tmp_path / "w.edgewts").exists()
+
+
+@pytest.mark.parametrize("line", [
+    "transfer.delta = 0", "transfer.smoothing_epsilon = 1.0", "transfer.kernel_count = 0",
+])
+def test_bad_transfer_value_fails_before_training(tmp_path, capsys, line):
+    cfg_path = tmp_path / "bad.cfg"
+    cfg_path.write_text(TINY_CFG + line + "\n")
+    out = tmp_path / "grid"
+    code = cli.main(["reproduce", "--config", str(cfg_path), "--seeds", "1", "--out", str(out)])
+    assert not list(out.rglob("*.edgewts"))  # the cloud stage never ran
+    assert code == cli.EXIT_CONFIG
+    assert "stage=reproduce code=2: transfer.*" in capsys.readouterr().err
+
+
 def test_missing_weights_is_archive_error(workdir, capsys):
     code = cli.main([
         "eval", "--config", str(workdir["cfg"]), "--weights", "/nonexistent.edgewts",

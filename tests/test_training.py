@@ -22,7 +22,7 @@ from edgediag.training import (
     transfer_edge,
     write_reports,
 )
-from edgediag.tensor import Tape
+from edgediag.tensor import NonFiniteError, Tape
 
 TINY_MODEL = ModelConfig(
     input_shape=(2, 8, 8),
@@ -111,6 +111,33 @@ def test_cloud_divergence_reports_epoch_and_batch():
     data.x[0, 0, 0, 0] = np.inf
     with pytest.raises(TrainingDiverged, match="epoch 1"):
         train_cloud(model, data, TrainConfig(batch_size=40, num_epoch=1, seed=0))
+
+
+@pytest.mark.parametrize("stage", ["cloud training", "transfer"])
+def test_divergence_names_stage_epoch_and_step(stage, monkeypatch):
+    if stage == "cloud training":
+        model = build_model(TINY_MODEL, "cloud", seed=0)
+        steps_per_epoch = 5  # 40 windows, batch 8
+        run = lambda: train_cloud(model, _toy_set(), TrainConfig(batch_size=8, num_epoch=3))
+    else:
+        splits, c = _xfer_fixture(seed=1)
+        steps_per_epoch = 2  # 12 target windows, batch 6
+        run = lambda: transfer_edge(c, _shared_edge(c), splits.d_finetune_src,
+                                    splits.d_finetune_tgt, TrainConfig(batch_size=6, num_epoch=3))
+    calls = []
+    plain = training.smoothed_cross_entropy
+
+    def failing(*args):
+        calls.append(None)
+        if len(calls) == steps_per_epoch + 2:  # epoch 2, step index 1
+            raise NonFiniteError("forced")
+        return plain(*args)
+
+    monkeypatch.setattr(training, "smoothed_cross_entropy", failing)
+    with pytest.raises(TrainingDiverged) as info:
+        run()
+    assert (info.value.epoch, info.value.batch) == (2, 1)
+    assert str(info.value) == f"{stage} diverged at epoch 2, batch 1: forced"
 
 
 def test_cloud_rejects_mixed_conditions():
