@@ -211,11 +211,14 @@ class ExperimentConfig:
         )
 
     def validate(self) -> None:
-        """Check the model and both training stages before any work starts."""
-        for prefix, view in (("model", self.model_config), ("cloud", self.cloud_train_config),
-                             ("transfer", self.transfer_train_config)):
+        """Check the model, both training stages and the data before any work starts."""
+        for prefix, parts in (("model", [self.model_config()]),
+                              ("cloud", [self.cloud_train_config()]),
+                              ("transfer", [self.transfer_train_config()]),
+                              ("data", [*self.conditions(), self.split_counts()])):
             try:
-                view().validate()
+                for part in parts:
+                    part.validate()
             except ValueError as err:
                 raise ConfigError(f"{prefix}.*: {err}") from None
 

@@ -253,6 +253,15 @@ class SplitCounts:
     n_finetune: int
     n_test: int
 
+    def validate(self) -> None:
+        if self.n_train < 1 or self.n_finetune < 1 or self.n_test < 1:
+            raise DataError(f"split counts must be positive, got {self}")
+        if self.n_finetune > self.n_train:
+            raise DataError(
+                f"fine-tuning draws from the training windows: need n_finetune <= n_train, "
+                f"got {self.n_finetune} > {self.n_train}"
+            )
+
 
 @dataclass
 class Splits:
@@ -299,13 +308,7 @@ def make_splits(
     those; the target fine-tuning and test sets come from disjoint
     windows of one target recording.
     """
-    if counts.n_train < 1 or counts.n_finetune < 1 or counts.n_test < 1:
-        raise DataError(f"split counts must be positive, got {counts}")
-    if counts.n_finetune > counts.n_train:
-        raise DataError(
-            f"fine-tuning draws from the training windows: need n_finetune <= n_train, "
-            f"got {counts.n_finetune} > {counts.n_train}"
-        )
+    counts.validate()
 
     parts = {attr: [] for _, attr, _ in _SPLIT_KEYS}
     for fault in faults:

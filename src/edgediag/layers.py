@@ -5,8 +5,15 @@ fused primitives with hand-derived backward rules (cheaper and easier to
 audit than composing them from elementwise ops). Convolution is grouped
 im2col, one code path for standard, grouped and depthwise convolutions:
 one casting copy fills a float64 patch matrix [groups, C_g*kh*kw, N*H'*W']
-(rows (c, kh, kw), columns (n, h', w')), a batched float64 GEMM with the
-weights gives the output, and the weight gradient reuses the matrix.
+(rows (c, kh, kw), columns (n, h', w')) and a batched float64 GEMM with
+the weights gives the output. A taped forward builds the matrix for the
+whole batch, and the weight gradient reuses it. An untaped forward (no
+tape will record the op) fills and multiplies it in tiles of whole
+samples that fit an L2-sized byte budget, writing each tile straight into
+the float32 output. Each output value is the same dot product either way,
+and the tests hold the two forwards to the same bits. Batch norm follows
+the same rule: an untaped forward normalizes in sample tiles, a taped one
+the whole batch, whose normalized values its backward rule reads.
 For stride 1 the input gradient is the full correlation of the output
 gradient, padded by k-1-p (cropped where that is negative), with the
 flipped kernels, in and out channels swapped within each group (Chellapilla
@@ -29,7 +36,7 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from .tensor import ShapeError, Tensor, add, custom_op, label, relu, tmean
+from .tensor import ShapeError, Tensor, add, custom_op, label, recording, relu, tmean
 
 __all__ = [
     "BuildError",
@@ -150,7 +157,11 @@ def _pad_hw(a: np.ndarray, ph: int, pw: int) -> np.ndarray:
     a = a[..., max(-ph, 0):h - max(-ph, 0), max(-pw, 0):w - max(-pw, 0)]
     if ph <= 0 and pw <= 0:
         return a
-    return np.pad(a, ((0, 0),) * (a.ndim - 2) + ((max(ph, 0),) * 2, (max(pw, 0),) * 2))
+    ph, pw = max(ph, 0), max(pw, 0)
+    h, w = a.shape[-2:]
+    out = np.zeros(a.shape[:-2] + (h + 2 * ph, w + 2 * pw), dtype=a.dtype)
+    out[..., ph:ph + h, pw:pw + w] = a
+    return out
 
 
 def _patches(xp: np.ndarray, kh: int, kw: int, stride: int, groups: int) -> np.ndarray:
@@ -167,6 +178,23 @@ def _patches(xp: np.ndarray, kh: int, kw: int, stride: int, groups: int) -> np.n
         _patch_view(xp, kh, kw, stride, ho, wo).transpose(1, 4, 5, 0, 2, 3)
     )
     return cols
+
+
+# Bytes of float64 intermediates (a conv's patch matrix, a batch norm's
+# normalized copy) an untaped forward works on at a time: small enough to
+# stay in one core's L2 cache from one pass over them to the next.
+_TILE_BYTES = 1 << 20
+
+
+def _sample_tiles(inputs, n: int, sample_bytes: int):
+    """(start, stop) ranges of whole samples covering a batch of n.
+
+    One range, the whole batch, when a tape records the op: its backward
+    rule reads the batch's intermediates. Otherwise as many samples per
+    range as fit _TILE_BYTES, and at least one.
+    """
+    tile = n if recording(inputs) else max(1, _TILE_BYTES // sample_bytes)
+    return [(i, min(i + tile, n)) for i in range(0, n, tile)]
 
 
 class Conv2dLayer:
@@ -233,14 +261,17 @@ class Conv2dLayer:
         og = co // g
         kk = cg * kh * kw
 
-        cols = _patches(_pad_hw(x.data, p, p), kh, kw, s, g)
-        w2 = self.weight.data.reshape(g, og, kk).astype(np.float64)
-        out_b = w2 @ cols  # [G, og, N*ho*wo]
-        if self.bias is not None:
-            out_b += self.bias.data.reshape(g, og, 1)
-        out = out_b.reshape(co, n, ho, wo).transpose(1, 0, 2, 3)
-
         bias_t = self.bias
+        inputs = (x, self.weight) + ((bias_t,) if bias_t is not None else ())
+        xp = _pad_hw(x.data, p, p)
+        w2 = self.weight.data.reshape(g, og, kk).astype(np.float64)
+        out = np.empty((n, co, ho, wo), dtype=np.float32)
+        for i, j in _sample_tiles(inputs, n, 8 * c * kh * kw * ho * wo):
+            cols = _patches(xp[i:j], kh, kw, s, g)
+            out_b = w2 @ cols  # [G, og, (j-i)*ho*wo]
+            if bias_t is not None:
+                out_b += bias_t.data.reshape(g, og, 1)
+            out[i:j] = out_b.reshape(co, -1, ho, wo).transpose(1, 0, 2, 3)
         need_dx = x.requires_grad
 
         def bwd(gout):
@@ -277,7 +308,6 @@ class Conv2dLayer:
                 grads.append(gout.sum(axis=(0, 2, 3)))
             return grads
 
-        inputs = (x, self.weight) + ((bias_t,) if bias_t is not None else ())
         return label(custom_op("conv2d", inputs, out, bwd), self.name, self)
 
 
@@ -321,9 +351,9 @@ class BatchNormLayer:
     def forward(self, x: Tensor) -> Tensor:
         if x.data.ndim != 4 or x.shape[1] != self.channels:
             raise ShapeError(f"batchnorm {self.name}: bad input shape {list(x.shape)}")
-        x64 = x.data.astype(np.float64)
-        gamma64 = self.gamma.data.astype(np.float64)
+        x64 = None
         if self.training:
+            x64 = x.data.astype(np.float64)
             m = x.data.shape[0] * x.data.shape[2] * x.data.shape[3]
             if m < 2:
                 raise ShapeError(f"batchnorm {self.name}: needs >1 value per channel in train mode")
@@ -337,10 +367,20 @@ class BatchNormLayer:
             mean = self.running_mean.data.astype(np.float64)
             var = self.running_var.data.astype(np.float64)
         invstd = 1.0 / np.sqrt(var + self.eps)
-        xn = (x64 - mean.reshape(1, -1, 1, 1)) * invstd.reshape(1, -1, 1, 1)
-        out = xn * gamma64.reshape(1, -1, 1, 1) + self.beta.data.astype(np.float64).reshape(
-            1, -1, 1, 1
-        )
+        shift, scale = mean.reshape(1, -1, 1, 1), invstd.reshape(1, -1, 1, 1)
+        gamma_b = self.gamma.data.astype(np.float64).reshape(1, -1, 1, 1)
+        beta_b = self.beta.data.astype(np.float64).reshape(1, -1, 1, 1)
+        inputs = (x, self.gamma, self.beta)
+        out = np.empty(x.shape, dtype=np.float32)
+        for i, j in _sample_tiles(inputs, x.shape[0], 8 * x.data[0].size):
+            # normalize a private float64 copy in place: the same arithmetic
+            # with fewer temporaries
+            xn = x.data[i:j].astype(np.float64) if x64 is None else x64[i:j]
+            xn -= shift
+            xn *= scale
+            y = xn * gamma_b
+            y += beta_b
+            out[i:j] = y
         train_stats = self.training
         need_dx = x.requires_grad
 
@@ -349,23 +389,18 @@ class BatchNormLayer:
             dbeta = np.sum(g, axis=(0, 2, 3))
             if not need_dx:
                 return None, dgamma, dbeta
-            dxn = g * gamma64.reshape(1, -1, 1, 1)
+            dxn = g * gamma_b
             if train_stats:
-                dx = (
-                    invstd.reshape(1, -1, 1, 1)
-                    * (
-                        dxn
-                        - dxn.mean(axis=(0, 2, 3), keepdims=True)
-                        - xn * (dxn * xn).mean(axis=(0, 2, 3), keepdims=True)
-                    )
+                dx = scale * (
+                    dxn
+                    - dxn.mean(axis=(0, 2, 3), keepdims=True)
+                    - xn * (dxn * xn).mean(axis=(0, 2, 3), keepdims=True)
                 )
             else:
-                dx = dxn * invstd.reshape(1, -1, 1, 1)
+                dx = dxn * scale
             return dx, dgamma, dbeta
 
-        return label(
-            custom_op("batchnorm", (x, self.gamma, self.beta), out, bwd), self.name, self
-        )
+        return label(custom_op("batchnorm", inputs, out, bwd), self.name, self)
 
 
 # ---------------------------------------------------------------------------

@@ -44,6 +44,7 @@ __all__ = [
     "NonFiniteError",
     "TapeError",
     "custom_op",
+    "recording",
     "label",
     "add",
     "mul",
@@ -302,6 +303,15 @@ def _check_finite(op: str, arr: np.ndarray) -> None:
         raise NonFiniteError(f"{op} produced a non-finite value")
 
 
+def recording(inputs: Sequence[Tensor]) -> bool:
+    """True when an op on ``inputs`` goes on the tape: one is active and an input needs a gradient.
+
+    Layers ask this before choosing how to compute their output, so they
+    keep what a backward rule needs exactly when :func:`custom_op` records it.
+    """
+    return _active is not None and any(t.requires_grad for t in inputs)
+
+
 def custom_op(
     op: str,
     inputs: Sequence[Tensor],
@@ -318,8 +328,8 @@ def custom_op(
     out_arr = np.ascontiguousarray(out_data, dtype=np.float32)
     _check_finite(op, out_arr)
     out = Tensor(out_arr, requires_grad=any(t.requires_grad for t in inputs))
-    tape = _active
-    if tape is not None and out.requires_grad:
+    if recording(inputs):
+        tape = _active
         ids = tuple(tape._register(t) for t in inputs)
         tape._record(op, ids, out, backward_fn)
     return out

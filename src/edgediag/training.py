@@ -37,7 +37,7 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .datagen import SampleSet
+from .datagen import DataError, SampleSet
 from .losses import (
     KernelConfig,
     LossTerms,
@@ -305,7 +305,7 @@ def train_cloud(model: CModel, d_training: SampleSet, cfg: TrainConfig) -> list:
     """Supervised training on source-condition data; returns epoch reports."""
     cfg.validate()
     if np.any(d_training.cond != d_training.cond[0]):
-        raise ValueError("cloud training data must come from a single condition")
+        raise DataError("cloud training data must come from a single condition")
     smoothing = SmoothingConfig(cfg.smoothing_epsilon, model.config.num_classes)
     rng = np.random.default_rng([cfg.seed, 17])
     labels_1h = one_hot(d_training.y, model.config.num_classes)

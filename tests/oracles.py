@@ -73,6 +73,39 @@ def batchnorm_ref(x, gamma, beta, eps, running_mean=None, running_var=None, trai
         + np.asarray(beta, dtype=np.float64).reshape(1, -1, 1, 1)
 
 
+def batchnorm_grad_ref(x, gamma, g, eps, running_mean=None, running_var=None, training=True):
+    """(dx, dgamma, dbeta) of batch norm for output gradient ``g``.
+
+    Train mode follows the chain rule through the batch mean and biased
+    variance term by term (Ioffe & Szegedy 2015, Algorithm 1's backward);
+    eval mode is the gradient of the fixed affine map.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    g = np.asarray(g, dtype=np.float64)
+    gamma = np.asarray(gamma, dtype=np.float64)
+    dx = np.zeros_like(x)
+    dgamma = np.zeros(x.shape[1])
+    dbeta = np.zeros(x.shape[1])
+    for c in range(x.shape[1]):
+        xc, gc = x[:, c], g[:, c]
+        if training:
+            mu, var = xc.mean(), xc.var()
+        else:
+            mu, var = float(running_mean[c]), float(running_var[c])
+        std = np.sqrt(var + eps)
+        dxhat = gc * gamma[c]
+        dgamma[c] = np.sum(gc * (xc - mu) / std)
+        dbeta[c] = np.sum(gc)
+        if training:
+            m = xc.size
+            dvar = np.sum(dxhat * (xc - mu)) * -0.5 * std ** -3
+            dmu = -np.sum(dxhat) / std + dvar * np.mean(-2.0 * (xc - mu))
+            dx[:, c] = dxhat / std + dvar * 2.0 * (xc - mu) / m + dmu / m
+        else:
+            dx[:, c] = dxhat / std
+    return dx, dgamma, dbeta
+
+
 def global_avg_pool_ref(x):
     return np.asarray(x, dtype=np.float64).mean(axis=(2, 3))
 

@@ -176,6 +176,7 @@ MALFORMED_DATA = {
     "label_out_of_range": ("eval", "test.y", lambda y: np.where(y == 0, 7.0, y)),
     "negative_label": ("eval", "test.y", lambda y: y - 1.0),
     "fractional_cond": ("train-cloud", "training.cond", lambda c: c + 0.5),
+    "mixed_training_cond": ("train-cloud", "training.cond", lambda c: _poke(c, c.max() + 1)),
     "test_labels_cut": ("eval", "test.y", lambda y: y[:10]),
     "training_labels_cut": ("train-cloud", "training.y", lambda y: y[:10]),
     "inf_in_finetune_target": ("transfer", "finetune_tgt.x", lambda x: _poke(x, np.inf)),
@@ -215,6 +216,20 @@ def test_bad_transfer_value_fails_before_training(tmp_path, capsys, line):
     assert not list(out.rglob("*.edgewts"))  # the cloud stage never ran
     assert code == cli.EXIT_CONFIG
     assert "stage=reproduce code=2: transfer.*" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line", [
+    "data.noise_sigma = -1", "data.source_speed = 0", "data.n_test = 0", "data.n_finetune = 9",
+])
+def test_bad_data_value_fails_before_generation(tmp_path, capsys, line):
+    key = line.partition(" ")[0]
+    kept = [l for l in TINY_CFG.splitlines() if not l.startswith(key + " ")]
+    cfg_path = tmp_path / "bad.cfg"
+    cfg_path.write_text("\n".join(kept + [line]) + "\n")
+    code = cli.main(["gen-data", "--config", str(cfg_path), "--out", str(tmp_path)])
+    assert not (tmp_path / "dataset.edgewts").exists()
+    assert code == cli.EXIT_CONFIG
+    assert "stage=gen-data code=2: data.*" in capsys.readouterr().err
 
 
 def test_missing_weights_is_archive_error(workdir, capsys):

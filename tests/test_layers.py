@@ -3,6 +3,7 @@ import pytest
 
 import oracles
 from gradcheck import check_grads, max_rel_err, weighted_sum
+from edgediag import layers
 from edgediag.layers import (
     BatchNormLayer,
     BuildError,
@@ -11,6 +12,7 @@ from edgediag.layers import (
     DepthwiseSeparableBlock,
     ParamStore,
     ResidualBlock,
+    _pad_hw,
     global_avg_pool,
 )
 from edgediag.tensor import ShapeError, Tape, Tensor
@@ -208,8 +210,76 @@ def test_global_avg_pool_random_oracle():
     assert max_rel_err(got, oracles.global_avg_pool_ref(x)) < 1e-6
 
 
+@pytest.mark.parametrize("ph, pw", [(1, 2), (0, 0), (2, 0), (-1, -2), (-1, 2), (1, -2), (0, -1)])
+@pytest.mark.parametrize("transposed", [False, True])
+def test_pad_hw_matches_np_pad_and_slicing(ph, pw, transposed):
+    a = np.random.default_rng(12).standard_normal((2, 3, 5, 6))
+    if transposed:
+        a = a.transpose(1, 0, 2, 3)  # the [C, N, H, W] view the backward pads
+    h, w = a.shape[-2:]
+    want = a[..., max(-ph, 0):h - max(-ph, 0), max(-pw, 0):w - max(-pw, 0)]
+    want = np.pad(want, ((0, 0), (0, 0), (max(ph, 0),) * 2, (max(pw, 0),) * 2))
+    got = _pad_hw(a.astype(np.float32), ph, pw)
+    assert got.dtype == np.float32
+    assert got.shape == want.shape and np.array_equal(got, want.astype(np.float32))
+
+
 # ---------------------------------------------------------------------------
 # batch norm
+
+@pytest.mark.parametrize("training", [True, False])
+def test_untaped_batchnorm_tiles_match_taped(monkeypatch, training):
+    rng = np.random.default_rng(14)
+    x = (rng.standard_normal((11, 3, 5, 6)) * 2 + 1).astype(np.float32)
+    params = [rng.uniform(0.5, 2.0, 3), rng.standard_normal(3),
+              rng.standard_normal(3), rng.uniform(0.5, 2.0, 3)]
+    monkeypatch.setattr(layers, "_TILE_BYTES", 3 * 8 * x[0].size)
+    spans = []
+    sample_tiles = layers._sample_tiles
+
+    def recorded(*args):
+        spans.append(sample_tiles(*args))
+        return spans[-1]
+
+    monkeypatch.setattr(layers, "_sample_tiles", recorded)
+    results = []
+    for taped in (True, False):
+        bn = BatchNormLayer(ParamStore(), "b", 3)
+        for t, value in zip((bn.gamma, bn.beta, bn.running_mean, bn.running_var), params):
+            t.data[...] = value
+        bn.training = training
+        if taped:
+            with Tape():
+                out = bn.forward(Tensor(x, requires_grad=True))
+        else:
+            out = bn.forward(Tensor(x))
+        results.append([a.tobytes() for a in (out.data, bn.running_mean.data, bn.running_var.data)])
+    assert spans == [[(0, 11)], [(0, 3), (3, 6), (6, 9), (9, 11)]]
+    assert results[0] == results[1]
+
+
+@pytest.mark.parametrize("training", [True, False])
+def test_batchnorm_matches_reference_formula(training):
+    rng = np.random.default_rng(13)
+    bn = BatchNormLayer(ParamStore(), "b", 3)
+    bn.gamma.data[...] = rng.uniform(0.5, 2.0, 3)
+    bn.beta.data[...] = rng.standard_normal(3)
+    bn.running_mean.data[...] = rng.standard_normal(3)
+    bn.running_var.data[...] = rng.uniform(0.5, 2.0, 3)
+    bn.training = training
+    rm, rv = bn.running_mean.data.copy(), bn.running_var.data.copy()
+    x = (rng.standard_normal((4, 3, 5, 6)) * 2 + 1).astype(np.float32)
+    gout = rng.standard_normal(x.shape)
+    with Tape() as tape:
+        out = bn.forward(Tensor(x, requires_grad=True))
+    got = tape.entries[out.node].backward_fn(gout)
+    gamma, beta = bn.gamma.data, bn.beta.data
+    want = oracles.batchnorm_ref(x, gamma, beta, bn.eps, rm, rv, training=training)
+    assert max_rel_err(out.data, want) < 1e-6
+    refs = oracles.batchnorm_grad_ref(x, gamma, gout, bn.eps, rm, rv, training=training)
+    for g, ref in zip(got, refs):
+        assert g.shape == ref.shape and max_rel_err(g, ref) < 1e-12
+
 
 def test_batchnorm_eval_is_affine():
     store = ParamStore()
@@ -358,6 +428,36 @@ def test_conv_input_without_grad_has_no_dx(i):
     assert grads[False][0] is None
     for with_dx, without_dx in zip(grads[True][1:], grads[False][1:]):
         assert with_dx.tobytes() == without_dx.tobytes()
+
+
+@pytest.mark.parametrize("bias", [False, True])
+@pytest.mark.parametrize("i", range(len(CONV_LAYOUTS)))
+def test_untaped_conv_tiles_match_taped(monkeypatch, i, bias):
+    kernel, stride, pad, groups, h, w, _ = CONV_LAYOUTS[i]
+    rng = np.random.default_rng(950 + i)
+    layer = _conv(4, 4, kernel, rng=rng, stride=stride, padding=pad, groups=groups, bias=bias)
+    if bias:
+        layer.bias.data[...] = rng.standard_normal(4)
+    x = rng.standard_normal((11, 4, h, w)).astype(np.float32)
+    kh, kw = layer.kernel
+    _, ho, wo = layer.out_shape(x.shape)
+    # a budget of three samples' patch columns: untaped tiles of 3, 3, 3 and 2
+    monkeypatch.setattr(layers, "_TILE_BYTES", 3 * 8 * 4 * kh * kw * ho * wo)
+    tiles = []
+    patches = layers._patches
+
+    def counted(xp, *args):
+        tiles.append(xp.shape[0])
+        return patches(xp, *args)
+
+    monkeypatch.setattr(layers, "_patches", counted)
+    with Tape():
+        taped = layer.forward(Tensor(x, requires_grad=True)).data
+    assert tiles == [11]
+    untaped = layer.forward(Tensor(x)).data
+    assert tiles == [11, 3, 3, 3, 2]
+    assert untaped.dtype == np.float32
+    assert untaped.tobytes() == taped.tobytes()
 
 
 @pytest.mark.parametrize("seed", range(5))

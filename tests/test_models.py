@@ -185,6 +185,21 @@ def test_frozen_params_still_get_gradients():
     assert np.any(g[w].data != 0.0)  # skipped at update time, not detached
 
 
+@pytest.mark.parametrize("kind", ["cloud", "edge"])
+def test_untaped_logits_equal_taped_at_batch_64(kind):
+    model = build_model(CFG, kind, seed=5)
+    rng = np.random.default_rng(6)
+    for bn in model.bn_layers():
+        bn.running_mean.data[...] = rng.standard_normal(bn.channels) * 0.1
+        bn.running_var.data[...] = rng.uniform(0.5, 2.0, bn.channels)
+    model.set_training(False)
+    x = rng.standard_normal((64, *CFG.input_shape)).astype(np.float32)
+    untaped = model.forward_logits(Tensor(x)).data
+    with Tape():
+        taped = model.forward_logits(Tensor(x, requires_grad=True)).data
+    assert untaped.tobytes() == taped.tobytes()
+
+
 def test_architecture_covers_all_parameters():
     for kind in ("cloud", "edge"):
         model = build_model(CFG, kind, seed=0)
