@@ -7,7 +7,8 @@ reproduce command that runs the complete ablation grid over several
 seeds and summarizes it.
 
 Exit codes: 0 success, 2 configuration error, 3 data error, 4 training
-divergence, 5 archive/integrity error. Every failure prints one
+divergence, 5 archive/integrity error (including weights that give a
+non-finite output outside training). Every failure prints one
 machine-parsable line naming the stage, then the resolved config echo.
 Outputs are deterministic for fixed inputs; wall-clock measurements are
 segregated under timings/ so the metrics and reports trees stay
@@ -36,6 +37,7 @@ from .config import ConfigError, ExperimentConfig, default_config_text
 from .datagen import DataError, load_splits, make_splits, save_splits
 from .layers import BuildError
 from .models import build_model, freeze_pre_fe, share_pre_fe
+from .tensor import NonFiniteError
 from .training import (
     TrainingDiverged,
     evaluate,
@@ -400,6 +402,8 @@ _ERROR_CODES = (
     (TrainingDiverged, EXIT_DIVERGED),
     (DataError, EXIT_DATA),
     (ArchiveError, EXIT_ARCHIVE),
+    # an untaped forward outside training: the loaded weights give no finite output
+    (NonFiniteError, EXIT_ARCHIVE),
     (ValueError, EXIT_CONFIG),
 )
 

@@ -14,6 +14,7 @@ for dataset archives.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -34,7 +35,10 @@ def _parse_int(s: str) -> int:
 
 
 def _parse_float(s: str) -> float:
-    return float(s)
+    v = float(s)
+    if not math.isfinite(v):  # nan passes every range check; no key means anything by inf
+        raise ValueError(f"{s!r} is not a finite number")
+    return v
 
 
 def _parse_int_list(s: str) -> tuple:

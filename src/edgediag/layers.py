@@ -24,6 +24,16 @@ gradient back in [C, N, H, W] order. Like
 not require a gradient (a data batch, or a frozen block's precomputed
 output), skipping that input-gradient computation entirely.
 
+Every conv -> batch norm (-> ReLU) sequence of the blocks runs through
+:func:`conv_bn`. Under a tape, or with the batch norm in train mode, it
+is the composition of the three ops, tape entries and names included.
+Otherwise (untaped, batch norm in eval mode or frozen) it runs the conv's
+and the batch norm's tile kernels back to back on each sample tile while
+the tile is in cache, checks each op's output for finiteness and clamps
+in place, without a Tensor or tape bookkeeping for the intermediates.
+Batch norm is not folded into the conv weights: that would drop the
+float32 rounding between the two and change the output bits.
+
 Parameters live in a :class:`ParamStore`: an ordered, uniquely named
 collection of tensors with per-entry trainable and frozen flags. The
 store is the unit of serialization, sharing and freezing; layers hold
@@ -36,13 +46,16 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from .tensor import ShapeError, Tensor, add, custom_op, label, recording, relu, tmean
+from .tensor import (
+    ShapeError, Tensor, _check_finite, add, custom_op, label, recording, relu, tmean,
+)
 
 __all__ = [
     "BuildError",
     "ParamStore",
     "Conv2dLayer",
     "BatchNormLayer",
+    "conv_bn",
     "DenseLayer",
     "DepthwiseSeparableBlock",
     "ResidualBlock",
@@ -148,17 +161,20 @@ def _patch_view(xp: np.ndarray, kh: int, kw: int, stride: int, ho: int, wo: int)
     sn, sc, sh, sw = xp.strides
     shape = (n, c, ho, wo, kh, kw)
     strides = (sn, sc, sh * stride, sw * stride, sh, sw)
+    if xp.flags.c_contiguous:  # every forward's input: a view without as_strided's overhead
+        return np.ndarray(shape, xp.dtype, xp, 0, strides)
     return np.lib.stride_tricks.as_strided(xp, shape, strides)
 
 
 def _pad_hw(a: np.ndarray, ph: int, pw: int) -> np.ndarray:
     """Zero-pad the last two axes by ph and pw on each side; a negative amount crops."""
     h, w = a.shape[-2:]
-    a = a[..., max(-ph, 0):h - max(-ph, 0), max(-pw, 0):w - max(-pw, 0)]
-    if ph <= 0 and pw <= 0:
+    if ph < 0 or pw < 0:
+        a = a[..., max(-ph, 0):h - max(-ph, 0), max(-pw, 0):w - max(-pw, 0)]
+        ph, pw = max(ph, 0), max(pw, 0)
+        h, w = a.shape[-2:]
+    if ph == 0 and pw == 0:
         return a
-    ph, pw = max(ph, 0), max(pw, 0)
-    h, w = a.shape[-2:]
     out = np.zeros(a.shape[:-2] + (h + 2 * ph, w + 2 * pw), dtype=a.dtype)
     out[..., ph:ph + h, pw:pw + w] = a
     return out
@@ -248,30 +264,53 @@ class Conv2dLayer:
             raise ShapeError(f"{self.name}: kernel {self.kernel} does not fit input {in_shape}")
         return (self.out_channels, ho, wo)
 
-    def forward(self, x: Tensor) -> Tensor:
+    def _inputs(self, x: Tensor) -> tuple:
+        return (x, self.weight) + ((self.bias,) if self.bias is not None else ())
+
+    def _prepare(self, x: Tensor) -> tuple:
+        """(padded input, float64 weights [G, og, C_g*kh*kw], empty float32
+        output, float64 patch-matrix bytes per sample) of a forward on x."""
         n, c, h, w = x.shape
         if c != self.in_channels:
             raise ShapeError(
                 f"conv2d {self.name}: expected {self.in_channels} input channels, got {c}"
             )
         kh, kw = self.kernel
-        s, p, g = self.stride, self.padding, self.groups
         co, ho, wo = self.out_shape(x.shape)
+        g = self.groups
+        xp = _pad_hw(x.data, self.padding, self.padding)
+        w2 = self.weight.data.reshape(g, co // g, -1).astype(np.float64)
+        out = np.empty((n, co, ho, wo), dtype=np.float32)
+        return xp, w2, out, 8 * c * kh * kw * ho * wo
+
+    def _tile(self, xp: np.ndarray, w2: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Convolve the padded samples xp into their float32 output rows out.
+
+        Fills their float64 patch matrix, multiplies it in float64 and
+        rounds into out once; returns the patch matrix.
+        """
+        kh, kw = self.kernel
+        g = self.groups
+        cols = _patches(xp, kh, kw, self.stride, g)
+        out_b = w2 @ cols  # [G, og, samples*ho*wo]
+        if self.bias is not None:
+            out_b += self.bias.data.reshape(g, -1, 1)
+        out[...] = out_b.reshape(out.shape[1], -1, *out.shape[2:]).transpose(1, 0, 2, 3)
+        return cols
+
+    def forward(self, x: Tensor) -> Tensor:
+        n, c, h, w = x.shape
+        kh, kw = self.kernel
+        s, p, g = self.stride, self.padding, self.groups
+        xp, w2, out, sample_bytes = self._prepare(x)
+        co, ho, wo = out.shape[1:]
         cg = c // g
         og = co // g
-        kk = cg * kh * kw
 
         bias_t = self.bias
-        inputs = (x, self.weight) + ((bias_t,) if bias_t is not None else ())
-        xp = _pad_hw(x.data, p, p)
-        w2 = self.weight.data.reshape(g, og, kk).astype(np.float64)
-        out = np.empty((n, co, ho, wo), dtype=np.float32)
-        for i, j in _sample_tiles(inputs, n, 8 * c * kh * kw * ho * wo):
-            cols = _patches(xp[i:j], kh, kw, s, g)
-            out_b = w2 @ cols  # [G, og, (j-i)*ho*wo]
-            if bias_t is not None:
-                out_b += bias_t.data.reshape(g, og, 1)
-            out[i:j] = out_b.reshape(co, -1, ho, wo).transpose(1, 0, 2, 3)
+        inputs = self._inputs(x)
+        for i, j in _sample_tiles(inputs, n, sample_bytes):
+            cols = self._tile(xp[i:j], w2, out[i:j])
         need_dx = x.requires_grad
 
         def bwd(gout):
@@ -348,9 +387,30 @@ class BatchNormLayer:
         self.frozen = True
         self.training = False
 
-    def forward(self, x: Tensor) -> Tensor:
-        if x.data.ndim != 4 or x.shape[1] != self.channels:
+    def _check(self, x: np.ndarray) -> None:
+        if x.ndim != 4 or x.shape[1] != self.channels:
             raise ShapeError(f"batchnorm {self.name}: bad input shape {list(x.shape)}")
+
+    def _affine(self, mean: np.ndarray, var: np.ndarray) -> tuple:
+        """float64 [1, C, 1, 1] (mean, invstd, gamma, beta) of
+        y = ((x - mean) * invstd) * gamma + beta."""
+        a = np.array((mean, var, self.gamma.data, self.beta.data), dtype=np.float64)
+        a[1] = 1.0 / np.sqrt(a[1] + self.eps)
+        return tuple(a.reshape(4, 1, -1, 1, 1))
+
+    @staticmethod
+    def _tile(xn: np.ndarray, affine: tuple, out: np.ndarray) -> None:
+        """Normalize the float64 samples xn in place and round the affine
+        output into their float32 rows out (few temporaries, fixed order)."""
+        shift, scale, gamma_b, beta_b = affine
+        xn -= shift
+        xn *= scale
+        y = xn * gamma_b
+        y += beta_b
+        out[...] = y
+
+    def forward(self, x: Tensor) -> Tensor:
+        self._check(x.data)
         x64 = None
         if self.training:
             x64 = x.data.astype(np.float64)
@@ -363,24 +423,16 @@ class BatchNormLayer:
             rv = (1 - self.momentum) * self.running_var.data + self.momentum * var * m / (m - 1)
             self.running_mean.data[...] = rm.astype(np.float32)
             self.running_var.data[...] = rv.astype(np.float32)
+            affine = self._affine(mean, var)
         else:
-            mean = self.running_mean.data.astype(np.float64)
-            var = self.running_var.data.astype(np.float64)
-        invstd = 1.0 / np.sqrt(var + self.eps)
-        shift, scale = mean.reshape(1, -1, 1, 1), invstd.reshape(1, -1, 1, 1)
-        gamma_b = self.gamma.data.astype(np.float64).reshape(1, -1, 1, 1)
-        beta_b = self.beta.data.astype(np.float64).reshape(1, -1, 1, 1)
+            affine = self._affine(self.running_mean.data, self.running_var.data)
+        _, scale, gamma_b, _ = affine
         inputs = (x, self.gamma, self.beta)
         out = np.empty(x.shape, dtype=np.float32)
         for i, j in _sample_tiles(inputs, x.shape[0], 8 * x.data[0].size):
-            # normalize a private float64 copy in place: the same arithmetic
-            # with fewer temporaries
+            # train mode normalizes views of the copy its statistics came from
             xn = x.data[i:j].astype(np.float64) if x64 is None else x64[i:j]
-            xn -= shift
-            xn *= scale
-            y = xn * gamma_b
-            y += beta_b
-            out[i:j] = y
+            self._tile(xn, affine, out[i:j])
         train_stats = self.training
         need_dx = x.requires_grad
 
@@ -401,6 +453,41 @@ class BatchNormLayer:
             return dx, dgamma, dbeta
 
         return label(custom_op("batchnorm", inputs, out, bwd), self.name, self)
+
+
+# ---------------------------------------------------------------------------
+# conv -> batch norm (-> ReLU) units
+
+def conv_bn(conv: Conv2dLayer, bn: BatchNormLayer, x: Tensor,
+            relu_name: Optional[str] = None) -> Tensor:
+    """bn(conv(x)), then a ReLU whose tape entry is named relu_name, if given.
+
+    While a tape records the unit, or the batch norm normalizes with batch
+    statistics, this is exactly the composition of the three ops and their
+    tape entries. Otherwise it is one pass per tile of whole samples that
+    fit the conv's patch budget: the conv's tile kernel rounds into the
+    float32 output, the batch norm's kernel rounds its affine map of those
+    rows back over them, and the ReLU clamps them in place. Each op's
+    output tile is checked for finiteness under its own op name (an
+    overflow the ReLU would zero still raises), and the unit builds one
+    Tensor, with the same bits as the composition.
+    """
+    inputs = conv._inputs(x) + (bn.gamma, bn.beta)
+    if bn.training or recording(inputs):
+        h = bn.forward(conv.forward(x))
+        return h if relu_name is None else label(relu(h), relu_name)
+    xp, w2, out, sample_bytes = conv._prepare(x)
+    bn._check(out)
+    affine = bn._affine(bn.running_mean.data, bn.running_var.data)
+    for i, j in _sample_tiles(inputs, len(out), sample_bytes):
+        tile = out[i:j]
+        conv._tile(xp[i:j], w2, tile)
+        _check_finite("conv2d", tile)
+        bn._tile(tile.astype(np.float64), affine, tile)
+        _check_finite("batchnorm", tile)
+        if relu_name is not None:
+            np.maximum(tile, 0.0, out=tile)  # clamps finite values: nothing left to check
+    return Tensor(out, requires_grad=any(t.requires_grad for t in inputs))
 
 
 # ---------------------------------------------------------------------------
@@ -476,8 +563,8 @@ class DepthwiseSeparableBlock:
         self._pw_relu = name + ".pw_relu"
 
     def forward(self, x: Tensor) -> Tensor:
-        h = label(relu(self.dw_bn.forward(self.depthwise.forward(x))), self._dw_relu)
-        return label(relu(self.pw_bn.forward(self.pointwise.forward(h))), self._pw_relu)
+        h = conv_bn(self.depthwise, self.dw_bn, x, self._dw_relu)
+        return conv_bn(self.pointwise, self.pw_bn, h, self._pw_relu)
 
     def bn_layers(self):
         return [self.dw_bn, self.pw_bn]
@@ -522,9 +609,9 @@ class ResidualBlock:
         self._relu2 = name + ".relu2"
 
     def forward(self, x: Tensor) -> Tensor:
-        h = label(relu(self.bn1.forward(self.conv1.forward(x))), self._relu1)
-        h = self.bn2.forward(self.conv2.forward(h))
-        sc = x if self.proj is None else self.proj_bn.forward(self.proj.forward(x))
+        h = conv_bn(self.conv1, self.bn1, x, self._relu1)
+        h = conv_bn(self.conv2, self.bn2, h)
+        sc = x if self.proj is None else conv_bn(self.proj, self.proj_bn, x)
         return label(relu(label(add(h, sc), self._add)), self._relu2)
 
     def bn_layers(self):

@@ -6,7 +6,10 @@ continues with residual stages, the edge model with exactly four
 depthwise-separable stages; each posterior block ends in global average
 pooling and a projection dense layer to a common feature width, so the
 two feature vectors are directly comparable for distribution alignment.
-A single dense layer maps features to class logits.
+A single dense layer maps features to class logits. Each conv+BN(+ReLU)
+step of both networks is one ``layers.conv_bn`` unit, so an untaped
+eval-mode forward (inference, the transfer stage's reference
+activations) runs them fused, with the same bits as a taped forward.
 
 ``share_pre_fe`` copies (never aliases) the front block cloud -> edge;
 ``freeze_pre_fe`` locks those weights and pins their batch-norm layers
@@ -29,6 +32,7 @@ from .layers import (
     DepthwiseSeparableBlock,
     ParamStore,
     ResidualBlock,
+    conv_bn,
     global_avg_pool,
 )
 from .tensor import Tape, Tensor, label, relu
@@ -127,7 +131,7 @@ class _PreFE:
     def forward(self, x: Tensor) -> Tensor:
         h = x
         for conv, bn, name in zip(self.convs, self.bns, self.relu_names):
-            h = label(relu(bn.forward(conv.forward(h))), name)
+            h = conv_bn(conv, bn, h, name)
         return h
 
 

@@ -299,7 +299,7 @@ def grad_l2_norm(grads: GradientMap, node) -> float:
 # op plumbing
 
 def _check_finite(op: str, arr: np.ndarray) -> None:
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise NonFiniteError(f"{op} produced a non-finite value")
 
 
@@ -465,7 +465,7 @@ def tmean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 
 def relu(a: Tensor) -> Tensor:
     out = np.maximum(a.data, 0.0)
-    mask = a.data > 0
+    mask = a.data > 0 if recording((a,)) else None  # read only by a recorded backward
 
     def bwd(g):
         return (g * mask,)

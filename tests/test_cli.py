@@ -232,6 +232,21 @@ def test_bad_data_value_fails_before_generation(tmp_path, capsys, line):
     assert "stage=gen-data code=2: data.*" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("key", ["cloud.lr_max", "transfer.lr_min", "data.noise_sigma"])
+def test_non_finite_float_value_fails_before_any_work(tmp_path, capsys, key, value):
+    kept = [l for l in TINY_CFG.splitlines() if not l.startswith(key + " ")]
+    cfg_path = tmp_path / "bad.cfg"
+    cfg_path.write_text("\n".join(kept + [f"{key} = {value}"]) + "\n")
+    out = tmp_path / "grid"
+    code = cli.main(["reproduce", "--config", str(cfg_path), "--seeds", "1", "--out", str(out)])
+    assert not out.exists()
+    assert code == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "stage=reproduce code=2:" in err
+    assert f"bad value for {key}: '{value}' is not a finite number" in err
+
+
 def test_missing_weights_is_archive_error(workdir, capsys):
     code = cli.main([
         "eval", "--config", str(workdir["cfg"]), "--weights", "/nonexistent.edgewts",
@@ -276,6 +291,27 @@ def test_unknown_model_kind_exit_5(workdir, tmp_path, capsys, command):
     assert cli.main(argv) == cli.EXIT_ARCHIVE
     err = capsys.readouterr().err
     assert "code=5" in err and "gizmo" in err
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered in cast:RuntimeWarning")
+@pytest.mark.parametrize("command", ["eval", "bench", "transfer"])
+def test_weights_with_non_finite_output_exit_5(workdir, tmp_path, capsys, command):
+    # a CRC-valid cloud archive whose first conv overflows float32 on any input
+    store = load_archive(workdir["cloud"])
+    store["pre_fe.conv1.weight"].data = np.full_like(store["pre_fe.conv1.weight"].data, 3e38)
+    bad = tmp_path / "overflow.edgewts"
+    save_archive(store, read_manifest(workdir["cloud"]), bad)
+    out = ["--out-weights", str(tmp_path / "w.edgewts"), "--metrics", str(tmp_path / "m.jsonl")]
+    argv = [command, "--config", str(workdir["cfg"])] + {
+        "eval": ["--weights", str(bad), "--data", str(workdir["data"])],
+        "bench": ["--weights", str(bad), "--iters", "1", "--warmup", "0"],
+        # the error comes from the reference activations, before the first step
+        "transfer": ["--cloud-weights", str(bad), "--data", str(workdir["data"])] + out,
+    }[command]
+    assert cli.main(argv) == cli.EXIT_ARCHIVE
+    err = capsys.readouterr().err.splitlines()
+    assert err[0] == f"error stage={command} code=5: conv2d produced a non-finite value"
+    assert not (tmp_path / "w.edgewts").exists()
 
 
 def test_divergence_maps_to_exit_4(workdir, monkeypatch, capsys, tmp_path):

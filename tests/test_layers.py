@@ -460,6 +460,42 @@ def test_untaped_conv_tiles_match_taped(monkeypatch, i, bias):
     assert untaped.tobytes() == taped.tobytes()
 
 
+@pytest.mark.parametrize("relu", [False, True])
+@pytest.mark.parametrize("i", range(len(CONV_LAYOUTS)))
+def test_conv_bn_unit_matches_composition(monkeypatch, i, relu):
+    kernel, stride, pad, groups, h, w, _ = CONV_LAYOUTS[i]
+    rng = np.random.default_rng(970 + i)
+    store = ParamStore()
+    conv = Conv2dLayer(store, "c", 4, 4, kernel, stride=stride, padding=pad, groups=groups,
+                       bias=True, rng=rng)
+    bn = BatchNormLayer(store, "b", 4)
+    for t in (conv.bias, bn.running_mean, bn.gamma, bn.beta):
+        t.data[...] = rng.standard_normal(4)
+    bn.running_var.data[...] = rng.uniform(0.2, 3.0, 4)
+    bn.training = False
+    x = rng.standard_normal((11, 4, h, w)).astype(np.float32)
+    kh, kw = conv.kernel
+    _, ho, wo = conv.out_shape(x.shape)
+    monkeypatch.setattr(layers, "_TILE_BYTES", 3 * 8 * 4 * kh * kw * ho * wo)
+    name = "r" if relu else None
+    with Tape() as tape:
+        taped = layers.conv_bn(conv, bn, Tensor(x, requires_grad=True), name)
+    assert [(e.op, e.name) for e in tape.entries if e.op != "leaf"] == (
+        [("conv2d", "c"), ("batchnorm", "b")] + ([("relu", "r")] if relu else []))
+    tiles = []
+    patches = layers._patches
+
+    def counted(xp, *args):
+        tiles.append(xp.shape[0])
+        return patches(xp, *args)
+
+    monkeypatch.setattr(layers, "_patches", counted)
+    fused = layers.conv_bn(conv, bn, Tensor(x), name)
+    assert tiles == [3, 3, 3, 2]
+    assert fused.requires_grad and fused.data.dtype == np.float32
+    assert fused.data.tobytes() == taped.data.tobytes()
+
+
 @pytest.mark.parametrize("seed", range(5))
 def test_fd_dense(seed):
     rng = np.random.default_rng(850 + seed)

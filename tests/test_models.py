@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from gradcheck import weighted_sum
+from edgediag import layers
 from edgediag.complexity import analyze
 from edgediag.layers import BuildError
 from edgediag.models import (
@@ -12,7 +13,8 @@ from edgediag.models import (
     freeze_pre_fe,
     share_pre_fe,
 )
-from edgediag.tensor import Tape, Tensor
+from edgediag.tensor import NonFiniteError, Tape, Tensor, relu
+from edgediag.training import _batched_no_tape
 
 CFG = ModelConfig()
 
@@ -198,6 +200,135 @@ def test_untaped_logits_equal_taped_at_batch_64(kind):
     with Tape():
         taped = model.forward_logits(Tensor(x, requires_grad=True)).data
     assert untaped.tobytes() == taped.tobytes()
+
+
+def _randomize_bn(model, rng):
+    for bn in model.bn_layers():
+        for t in (bn.running_mean, bn.gamma, bn.beta):
+            t.data[...] = rng.standard_normal(bn.channels)
+        bn.running_var.data[...] = rng.uniform(0.2, 3.0, bn.channels)
+
+
+def _layer_ops(monkeypatch) -> list:
+    """Names of the ops layers.py records through custom_op, in call order."""
+    ops = []
+    custom_op = layers.custom_op
+
+    def counted(op, *args):
+        ops.append(op)
+        return custom_op(op, *args)
+
+    monkeypatch.setattr(layers, "custom_op", counted)
+    return ops
+
+
+def _patch_bytes(entry) -> int:
+    kh, kw = entry.layer.kernel
+    return 8 * entry.in_shape[0] * kh * kw * entry.out_shape[1] * entry.out_shape[2]
+
+
+@pytest.mark.parametrize("n", [1, 5, 64])
+@pytest.mark.parametrize("kind", ["cloud", "edge"])
+def test_fused_untaped_logits_equal_taped(monkeypatch, kind, n):
+    model = build_model(CFG, kind, seed=7)
+    rng = np.random.default_rng(70 + n)
+    _randomize_bn(model, rng)
+    model.set_training(False)
+    convs = [a for a in model.architecture() if a.kind == "conv"]
+    # the first conv's tiles split the batch mid-way; the others follow their own sizes
+    budget = _patch_bytes(convs[0]) * ((n + 1) // 2)
+    monkeypatch.setattr(layers, "_TILE_BYTES", budget)
+    tiles = []
+    patches = layers._patches
+
+    def counted(xp, *args):
+        tiles.append(xp.shape[0])
+        return patches(xp, *args)
+
+    monkeypatch.setattr(layers, "_patches", counted)
+    ops = _layer_ops(monkeypatch)
+    x = rng.standard_normal((n, *CFG.input_shape)).astype(np.float32)
+    with Tape():
+        taped = model.forward_logits(Tensor(x, requires_grad=True)).data
+    assert tiles == [n] * len(convs)
+    assert ops.count("conv2d") == ops.count("batchnorm") == len(convs)
+    tiles.clear()
+    ops.clear()
+    untaped = model.forward_logits(Tensor(x)).data
+    want = []
+    for entry in convs:
+        t = max(1, budget // _patch_bytes(entry))
+        want += [min(t, n - i) for i in range(0, n, t)]
+    assert tiles == want
+    if n > 1:
+        assert tiles[:2] == [(n + 1) // 2, n // 2]
+    assert ops == ["dense", "dense"]  # every conv and batch norm ran inside a fused unit
+    assert untaped.tobytes() == taped.tobytes()
+
+
+def test_frozen_pre_fe_fuses_while_posterior_trains(monkeypatch):
+    cloud = build_model(CFG, "cloud", seed=3)
+    edge = build_model(CFG, "edge", seed=4)
+    rng = np.random.default_rng(9)
+    _randomize_bn(cloud, rng)
+    share_pre_fe(cloud, edge)
+    freeze_pre_fe(edge)
+    edge.set_training(True)
+    x = rng.standard_normal((70, *CFG.input_shape)).astype(np.float32)
+    ops = _layer_ops(monkeypatch)
+    # transfer_edge's reference activations of the target pool
+    h = _batched_no_tape(edge.forward_pre_fe, x)
+    assert ops == []
+    ref = Tensor(x)
+    for conv, bn in zip(edge.pre_fe.convs, edge.pre_fe.bns):
+        ref = relu(bn.forward(conv.forward(ref)))
+    assert h.tobytes() == ref.data.tobytes()
+    before = edge.store.snapshot()
+    with Tape() as tape:
+        edge.features_from_pre_fe(Tensor(h[:8]))
+    block = ["conv2d", "batchnorm", "relu"] * 2
+    assert [e.op for e in tape.entries if e.op != "leaf"] == block * 4 + ["mean", "dense", "relu"]
+    names = [e.name for e in tape.entries if e.op != "leaf"]
+    assert names[:6] == [f"e_pos_fe.stage1.{p}" for p in ("dw", "dw_bn", "dw_relu", "pw", "pw_bn", "pw_relu")]
+    after = edge.store.snapshot()
+    moved = {n for n in before if before[n].tobytes() != after[n].tobytes()}
+    assert moved and all(n.startswith("e_pos_fe.") and n.endswith(("running_mean", "running_var"))
+                         for n in moved)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered in cast:RuntimeWarning")
+@pytest.mark.parametrize("op", ["conv2d", "batchnorm"])
+def test_untaped_unit_raises_on_overflow_a_relu_would_zero(op):
+    model = build_model(CFG, "edge", seed=2)
+    model.set_training(False)
+    conv, bn = model.pre_fe.convs[0], model.pre_fe.bns[0]
+    if op == "conv2d":
+        conv.weight.data[...] = -3e38  # -inf in float32 on an all-ones input
+    else:
+        bn.running_mean.data[...] = 1e3  # every normalized value is negative...
+        bn.gamma.data[...] = 3e38  # ...and scaled past float32's range
+    x = np.ones((2, *CFG.input_shape), dtype=np.float32)
+    with pytest.raises(NonFiniteError, match=f"^{op} produced a non-finite value"):
+        model.forward_logits(Tensor(x))
+    with pytest.raises(NonFiniteError, match=f"^{op} produced a non-finite value"):
+        with Tape():
+            model.forward_logits(Tensor(x, requires_grad=True))
+
+
+@pytest.mark.parametrize("kind", ["cloud", "edge"])
+def test_untaped_train_mode_updates_running_stats_as_taped(kind):
+    models = [build_model(CFG, kind, seed=11) for _ in range(2)]
+    x = np.random.default_rng(12).standard_normal((6, *CFG.input_shape)).astype(np.float32)
+    for m in models:
+        m.set_training(True)
+    untaped = models[0].forward_logits(Tensor(x)).data
+    with Tape():
+        taped = models[1].forward_logits(Tensor(x, requires_grad=True)).data
+    assert untaped.tobytes() == taped.tobytes()
+    fresh = build_model(CFG, kind, seed=11).store.snapshot()
+    a, b = models[0].store.snapshot(), models[1].store.snapshot()
+    assert {n: v.tobytes() for n, v in a.items()} == {n: v.tobytes() for n, v in b.items()}
+    assert any(a[n].tobytes() != fresh[n].tobytes() for n in a if n.endswith("running_var"))
 
 
 def test_architecture_covers_all_parameters():
