@@ -7,8 +7,9 @@ reproduce command that runs the complete ablation grid over several
 seeds and summarizes it.
 
 Exit codes: 0 success, 2 configuration error, 3 data error, 4 training
-divergence, 5 archive/integrity error (including weights that give a
-non-finite output outside training). Every failure prints one
+divergence (including trained weights that give a non-finite output
+outside training), 5 archive/integrity error (including loaded weights
+that give a non-finite output). Every failure prints one
 machine-parsable line naming the stage, then the resolved config echo.
 Outputs are deterministic for fixed inputs; wall-clock measurements are
 segregated under timings/ so the metrics and reports trees stay
@@ -21,6 +22,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -127,6 +129,16 @@ def _load_model(cfg: ExperimentConfig, path, kind=None):
     return model, manifest
 
 
+@contextmanager
+def _forwards_of_archive(path):
+    """Report a non-finite untaped forward as a fault of the archive at path:
+    the weights it holds cannot give a finite output."""
+    try:
+        yield
+    except NonFiniteError as err:
+        raise ArchiveError(f"{err} from the weights in {path}") from err
+
+
 # ---------------------------------------------------------------------------
 # the two pipeline stages, shared by their subcommands and the grid
 
@@ -193,8 +205,11 @@ def cmd_transfer(args, cfg: ExperimentConfig) -> int:
     seed = cfg["run.seed"] if args.seed is None else args.seed
     splits = _load_dataset(cfg, args.data)
     c_model, _ = _load_model(cfg, args.cloud_weights, kind="cloud")
-    _edge_stage(cfg, c_model, splits, seed, VARIANT_NAMES[args.variant],
-                args.out_weights, args.metrics, args.metrics + ".timing")
+    # the steps report their own faults as divergence; this covers the
+    # reference activations the loaded pre_fe gives before the first step
+    with _forwards_of_archive(args.cloud_weights):
+        _edge_stage(cfg, c_model, splits, seed, VARIANT_NAMES[args.variant],
+                    args.out_weights, args.metrics, args.metrics + ".timing")
     print(f"edge model written: {args.out_weights} (variant {args.variant})")
     return EXIT_OK
 
@@ -202,7 +217,8 @@ def cmd_transfer(args, cfg: ExperimentConfig) -> int:
 def cmd_eval(args, cfg: ExperimentConfig) -> int:
     splits = _load_dataset(cfg, args.data)
     model, _ = _load_model(cfg, args.weights)
-    accuracy, conf = evaluate(model, splits.d_test)
+    with _forwards_of_archive(args.weights):
+        accuracy, conf = evaluate(model, splits.d_test)
     names = [f.name for f in cfg.faults()]
     text = conf.to_text(names)
     if args.report:
@@ -229,9 +245,10 @@ def cmd_analyze(args, cfg: ExperimentConfig) -> int:
 
 def cmd_bench(args, cfg: ExperimentConfig) -> int:
     model, manifest = _load_model(cfg, args.weights)
-    report = bench_inference(
-        model, repeats=args.repeats, iters=args.iters, warmup=args.warmup
-    )
+    with _forwards_of_archive(args.weights):
+        report = bench_inference(
+            model, repeats=args.repeats, iters=args.iters, warmup=args.warmup
+        )
     print(f"model kind: {manifest.kind}")
     print(report.to_text())
     if args.report:
@@ -402,8 +419,8 @@ _ERROR_CODES = (
     (TrainingDiverged, EXIT_DIVERGED),
     (DataError, EXIT_DATA),
     (ArchiveError, EXIT_ARCHIVE),
-    # an untaped forward outside training: the loaded weights give no finite output
-    (NonFiniteError, EXIT_ARCHIVE),
+    # an untaped forward of weights this run trained (reproduce's evaluation)
+    (NonFiniteError, EXIT_DIVERGED),
     (ValueError, EXIT_CONFIG),
 )
 

@@ -27,10 +27,11 @@ output), skipping that input-gradient computation entirely.
 Every conv -> batch norm (-> ReLU) sequence of the blocks runs through
 :func:`conv_bn`. Under a tape, or with the batch norm in train mode, it
 is the composition of the three ops, tape entries and names included.
-Otherwise (untaped, batch norm in eval mode or frozen) it runs the conv's
-and the batch norm's tile kernels back to back on each sample tile while
-the tile is in cache, checks each op's output for finiteness and clamps
-in place, without a Tensor or tape bookkeeping for the intermediates.
+Otherwise (untaped, batch norm in eval mode or frozen) the conv's forward
+runs the conv's and the batch norm's tile kernels back to back on each
+sample tile while the tile is in cache, checks each op's output for
+finiteness in the composition's order and clamps in place, without a
+Tensor or tape bookkeeping for the intermediates.
 Batch norm is not folded into the conv weights: that would drop the
 float32 rounding between the two and change the output bits.
 
@@ -161,20 +162,17 @@ def _patch_view(xp: np.ndarray, kh: int, kw: int, stride: int, ho: int, wo: int)
     sn, sc, sh, sw = xp.strides
     shape = (n, c, ho, wo, kh, kw)
     strides = (sn, sc, sh * stride, sw * stride, sh, sw)
-    if xp.flags.c_contiguous:  # every forward's input: a view without as_strided's overhead
-        return np.ndarray(shape, xp.dtype, xp, 0, strides)
     return np.lib.stride_tricks.as_strided(xp, shape, strides)
 
 
 def _pad_hw(a: np.ndarray, ph: int, pw: int) -> np.ndarray:
     """Zero-pad the last two axes by ph and pw on each side; a negative amount crops."""
     h, w = a.shape[-2:]
-    if ph < 0 or pw < 0:
-        a = a[..., max(-ph, 0):h - max(-ph, 0), max(-pw, 0):w - max(-pw, 0)]
-        ph, pw = max(ph, 0), max(pw, 0)
-        h, w = a.shape[-2:]
-    if ph == 0 and pw == 0:
+    a = a[..., max(-ph, 0):h - max(-ph, 0), max(-pw, 0):w - max(-pw, 0)]
+    if ph <= 0 and pw <= 0:
         return a
+    ph, pw = max(ph, 0), max(pw, 0)
+    h, w = a.shape[-2:]
     out = np.zeros(a.shape[:-2] + (h + 2 * ph, w + 2 * pw), dtype=a.dtype)
     out[..., ph:ph + h, pw:pw + w] = a
     return out
@@ -298,7 +296,17 @@ class Conv2dLayer:
         out[...] = out_b.reshape(out.shape[1], -1, *out.shape[2:]).transpose(1, 0, 2, 3)
         return cols
 
-    def forward(self, x: Tensor) -> Tensor:
+    def forward(self, x: Tensor, bn: Optional[BatchNormLayer] = None,
+                with_relu: bool = False) -> Tensor:
+        """The convolution of x, recorded on the active tape.
+
+        Given ``bn``, the untaped path of :func:`conv_bn` instead (which
+        checks that no tape records the unit and bn is in eval mode or
+        frozen): bn(conv(x)), clamped by a ReLU if ``with_relu``. It runs
+        here so that a profile of the forward attributes the unit to its conv.
+        """
+        if bn is not None:
+            return self._forward_bn(x, bn, with_relu)
         n, c, h, w = x.shape
         kh, kw = self.kernel
         s, p, g = self.stride, self.padding, self.groups
@@ -349,6 +357,33 @@ class Conv2dLayer:
 
         return label(custom_op("conv2d", inputs, out, bwd), self.name, self)
 
+    def _forward_bn(self, x: Tensor, bn: BatchNormLayer, with_relu: bool) -> Tensor:
+        """One pass per tile of whole samples that fit the conv's patch
+        budget: the conv's tile kernel rounds into the float32 output, the
+        batch norm's rounds its affine map of those rows back over them and
+        the ReLU clamps them in place. Each op's output is checked for
+        finiteness under its own name, in the composition's order: a
+        batch-norm fault is reported once every conv tile has passed."""
+        xp, w2, out, sample_bytes = self._prepare(x)
+        bn._check(out)
+        affine = bn._affine(bn.running_mean.data, bn.running_var.data)
+        inputs = self._inputs(x) + (bn.gamma, bn.beta)
+        bn_fault = None
+        for i, j in _sample_tiles(inputs, len(out), sample_bytes):
+            tile = out[i:j]
+            self._tile(xp[i:j], w2, tile)
+            _check_finite("conv2d", tile)
+            if bn_fault is not None:
+                continue
+            bn._tile(tile.astype(np.float64), affine, tile)
+            if not np.isfinite(tile).all():
+                bn_fault = tile  # kept unclamped: a ReLU would zero an overflow to -inf
+            elif with_relu:
+                np.maximum(tile, 0.0, out=tile)
+        if bn_fault is not None:
+            _check_finite("batchnorm", bn_fault)
+        return Tensor(out, requires_grad=any(t.requires_grad for t in inputs))
+
 
 # ---------------------------------------------------------------------------
 # batch normalization
@@ -394,9 +429,11 @@ class BatchNormLayer:
     def _affine(self, mean: np.ndarray, var: np.ndarray) -> tuple:
         """float64 [1, C, 1, 1] (mean, invstd, gamma, beta) of
         y = ((x - mean) * invstd) * gamma + beta."""
-        a = np.array((mean, var, self.gamma.data, self.beta.data), dtype=np.float64)
-        a[1] = 1.0 / np.sqrt(a[1] + self.eps)
-        return tuple(a.reshape(4, 1, -1, 1, 1))
+        def f64(a):
+            return a.astype(np.float64).reshape(1, -1, 1, 1)
+
+        invstd = 1.0 / np.sqrt(f64(var) + self.eps)
+        return f64(mean), invstd, f64(self.gamma.data), f64(self.beta.data)
 
     @staticmethod
     def _tile(xn: np.ndarray, affine: tuple, out: np.ndarray) -> None:
@@ -464,30 +501,13 @@ def conv_bn(conv: Conv2dLayer, bn: BatchNormLayer, x: Tensor,
 
     While a tape records the unit, or the batch norm normalizes with batch
     statistics, this is exactly the composition of the three ops and their
-    tape entries. Otherwise it is one pass per tile of whole samples that
-    fit the conv's patch budget: the conv's tile kernel rounds into the
-    float32 output, the batch norm's kernel rounds its affine map of those
-    rows back over them, and the ReLU clamps them in place. Each op's
-    output tile is checked for finiteness under its own op name (an
-    overflow the ReLU would zero still raises), and the unit builds one
-    Tensor, with the same bits as the composition.
+    tape entries. Otherwise the conv's forward runs the unit fused, one
+    pass per sample tile, and builds one Tensor with the composition's bits.
     """
-    inputs = conv._inputs(x) + (bn.gamma, bn.beta)
-    if bn.training or recording(inputs):
+    if bn.training or recording(conv._inputs(x) + (bn.gamma, bn.beta)):
         h = bn.forward(conv.forward(x))
         return h if relu_name is None else label(relu(h), relu_name)
-    xp, w2, out, sample_bytes = conv._prepare(x)
-    bn._check(out)
-    affine = bn._affine(bn.running_mean.data, bn.running_var.data)
-    for i, j in _sample_tiles(inputs, len(out), sample_bytes):
-        tile = out[i:j]
-        conv._tile(xp[i:j], w2, tile)
-        _check_finite("conv2d", tile)
-        bn._tile(tile.astype(np.float64), affine, tile)
-        _check_finite("batchnorm", tile)
-        if relu_name is not None:
-            np.maximum(tile, 0.0, out=tile)  # clamps finite values: nothing left to check
-    return Tensor(out, requires_grad=any(t.requires_grad for t in inputs))
+    return conv.forward(x, bn, relu_name is not None)
 
 
 # ---------------------------------------------------------------------------

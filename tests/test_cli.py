@@ -310,8 +310,23 @@ def test_weights_with_non_finite_output_exit_5(workdir, tmp_path, capsys, comman
     }[command]
     assert cli.main(argv) == cli.EXIT_ARCHIVE
     err = capsys.readouterr().err.splitlines()
-    assert err[0] == f"error stage={command} code=5: conv2d produced a non-finite value"
+    assert err[0] == (f"error stage={command} code=5: "
+                      f"conv2d produced a non-finite value from the weights in {bad}")
     assert not (tmp_path / "w.edgewts").exists()
+
+
+def test_trained_weights_with_non_finite_output_exit_4(workdir, monkeypatch, capsys, tmp_path):
+    from edgediag.tensor import NonFiniteError
+
+    def overflow(*a, **k):  # the reference activations of the cloud model reproduce just trained
+        raise NonFiniteError("conv2d produced a non-finite value")
+
+    monkeypatch.setattr(cli, "transfer_edge", overflow)
+    code = cli.main(["reproduce", "--config", str(workdir["cfg"]), "--seeds", "1",
+                     "--out", str(tmp_path / "grid")])
+    assert code == cli.EXIT_DIVERGED
+    err = capsys.readouterr().err.splitlines()
+    assert err[0] == "error stage=reproduce code=4: conv2d produced a non-finite value"
 
 
 def test_divergence_maps_to_exit_4(workdir, monkeypatch, capsys, tmp_path):

@@ -15,7 +15,7 @@ from edgediag.layers import (
     _pad_hw,
     global_avg_pool,
 )
-from edgediag.tensor import ShapeError, Tape, Tensor
+from edgediag.tensor import NonFiniteError, ShapeError, Tape, Tensor
 
 
 def _conv(in_c, out_c, kernel, rng=None, **kw):
@@ -494,6 +494,39 @@ def test_conv_bn_unit_matches_composition(monkeypatch, i, relu):
     assert tiles == [3, 3, 3, 2]
     assert fused.requires_grad and fused.data.dtype == np.float32
     assert fused.data.tobytes() == taped.data.tobytes()
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered in cast:RuntimeWarning")
+@pytest.mark.parametrize("conv_fault", [False, True])
+def test_conv_bn_unit_names_the_op_the_composition_names(monkeypatch, conv_fault):
+    # sample 0's batch norm overflows to -inf, which the ReLU would zero;
+    # with conv_fault, sample 1's conv overflows too, in the next tile
+    store = ParamStore()
+    conv = Conv2dLayer(store, "c", 2, 2, 1)
+    conv.weight.data[...] = 2 * np.eye(2, dtype=np.float32).reshape(2, 2, 1, 1)
+    bn = BatchNormLayer(store, "b", 2)
+    bn.gamma.data[...] = -1e10
+    bn.training = False
+    x = np.ones((2, 2, 3, 3), dtype=np.float32)
+    x[0] = 1e30
+    if conv_fault:
+        x[1] = 3e38
+    op = "conv2d" if conv_fault else "batchnorm"
+    with pytest.raises(NonFiniteError, match=f"^{op} produced a non-finite value"):
+        with Tape():
+            layers.conv_bn(conv, bn, Tensor(x, requires_grad=True), "r")
+    monkeypatch.setattr(layers, "_TILE_BYTES", 8 * 2 * 3 * 3)  # one sample per tile
+    tiles = []
+    patches = layers._patches
+
+    def counted(xp, *args):
+        tiles.append(xp.shape[0])
+        return patches(xp, *args)
+
+    monkeypatch.setattr(layers, "_patches", counted)
+    with pytest.raises(NonFiniteError, match=f"^{op} produced a non-finite value"):
+        layers.conv_bn(conv, bn, Tensor(x), "r")
+    assert tiles == [1, 1]
 
 
 @pytest.mark.parametrize("seed", range(5))
