@@ -6,14 +6,21 @@ audit than composing them from elementwise ops). Convolution is grouped
 im2col, one code path for standard, grouped and depthwise convolutions:
 one casting copy fills a float64 patch matrix [groups, C_g*kh*kw, N*H'*W']
 (rows (c, kh, kw), columns (n, h', w')) and a batched float64 GEMM with
-the weights gives the output. A taped forward builds the matrix for the
-whole batch, and the weight gradient reuses it. An untaped forward (no
-tape will record the op) fills and multiplies it in tiles of whole
-samples that fit an L2-sized byte budget, writing each tile straight into
-the float32 output. Each output value is the same dot product either way,
-and the tests hold the two forwards to the same bits. Batch norm follows
-the same rule: an untaped forward normalizes in sample tiles, a taped one
-the whole batch, whose normalized values its backward rule reads.
+the weights gives the output. Every forward, taped or not, fills and
+multiplies the matrix in tiles of whole samples that fit an L2-sized
+byte budget, writing each tile straight into the float32 output. A taped
+conv keeps only its float32 (padded) input and float64 weights for its
+backward rule, not the matrix (9 doubles per input value for a 3x3
+kernel): the rule rebuilds the whole batch's matrix once for the weight
+gradient dW = g @ cols^T, one GEMM so that its sum over N*H'*W' keeps
+its order, and drops it before the input gradient (recomputation instead
+of storage, Chen et al. 2016, arXiv:1604.06174). The input gradient goes one sample tile at
+a time. Tiled and whole-batch results are held to the same bits by the
+tests; a BLAS kernel rounds the columns of a ragged last column block
+differently, so input-gradient tiles span whole blocks. Batch norm: an
+untaped forward normalizes in sample tiles, a taped one the whole batch,
+whose normalized values its backward rule reads; train mode keeps one
+float64 copy of its input, centred and normalized in place.
 For stride 1 the input gradient is the full correlation of the output
 gradient, padded by k-1-p (cropped where that is negative), with the
 flipped kernels, in and out channels swapped within each group (Chellapilla
@@ -43,6 +50,7 @@ references to the same tensors.
 
 from __future__ import annotations
 
+import math
 from typing import Iterator, Optional
 
 import numpy as np
@@ -195,19 +203,31 @@ def _patches(xp: np.ndarray, kh: int, kw: int, stride: int, groups: int) -> np.n
 
 
 # Bytes of float64 intermediates (a conv's patch matrix, a batch norm's
-# normalized copy) an untaped forward works on at a time: small enough to
-# stay in one core's L2 cache from one pass over them to the next.
+# normalized copy) a forward or a conv's input gradient works on at a
+# time: small enough to stay in one core's L2 cache from one pass over
+# them to the next.
 _TILE_BYTES = 1 << 20
 
+# GEMM columns a BLAS kernel computes as one block. OpenBLAS's double
+# kernels round the columns of a ragged last block differently from a
+# full one, so a conv's dx tiles span whole blocks: each float64 value
+# then comes from the same kernel code as in the whole batch's product.
+_COL_BLOCK = 8
 
-def _sample_tiles(inputs, n: int, sample_bytes: int):
+
+def _sample_tiles(n: int, sample_bytes: int, whole: bool = False, cols: int = 0):
     """(start, stop) ranges of whole samples covering a batch of n.
 
-    One range, the whole batch, when a tape records the op: its backward
-    rule reads the batch's intermediates. Otherwise as many samples per
-    range as fit _TILE_BYTES, and at least one.
+    As many samples per range as fit _TILE_BYTES, and at least one; one
+    range, the whole batch, if ``whole`` (a taped batch norm, whose
+    backward rule reads the batch's normalized values). Given the GEMM
+    columns per sample ``cols``, every range but the last spans whole
+    _COL_BLOCK blocks.
     """
-    tile = n if recording(inputs) else max(1, _TILE_BYTES // sample_bytes)
+    tile = n if whole else max(1, _TILE_BYTES // sample_bytes)
+    if cols:
+        step = _COL_BLOCK // math.gcd(_COL_BLOCK, cols)
+        tile = max(step, tile // step * step)
     return [(i, min(i + tile, n)) for i in range(0, n, tile)]
 
 
@@ -281,20 +301,18 @@ class Conv2dLayer:
         out = np.empty((n, co, ho, wo), dtype=np.float32)
         return xp, w2, out, 8 * c * kh * kw * ho * wo
 
-    def _tile(self, xp: np.ndarray, w2: np.ndarray, out: np.ndarray) -> np.ndarray:
+    def _tile(self, xp: np.ndarray, w2: np.ndarray, out: np.ndarray) -> None:
         """Convolve the padded samples xp into their float32 output rows out.
 
         Fills their float64 patch matrix, multiplies it in float64 and
-        rounds into out once; returns the patch matrix.
+        rounds into out once.
         """
         kh, kw = self.kernel
         g = self.groups
-        cols = _patches(xp, kh, kw, self.stride, g)
-        out_b = w2 @ cols  # [G, og, samples*ho*wo]
+        out_b = w2 @ _patches(xp, kh, kw, self.stride, g)  # [G, og, samples*ho*wo]
         if self.bias is not None:
             out_b += self.bias.data.reshape(g, -1, 1)
         out[...] = out_b.reshape(out.shape[1], -1, *out.shape[2:]).transpose(1, 0, 2, 3)
-        return cols
 
     def forward(self, x: Tensor, bn: Optional[BatchNormLayer] = None,
                 with_relu: bool = False) -> Tensor:
@@ -314,48 +332,57 @@ class Conv2dLayer:
         co, ho, wo = out.shape[1:]
         cg = c // g
         og = co // g
-
+        for i, j in _sample_tiles(n, sample_bytes):
+            self._tile(xp[i:j], w2, out[i:j])
         bias_t = self.bias
-        inputs = self._inputs(x)
-        for i, j in _sample_tiles(inputs, n, sample_bytes):
-            cols = self._tile(xp[i:j], w2, out[i:j])
         need_dx = x.requires_grad
+        wt = w2.transpose(0, 2, 1)
+        if s == 1 and (kh, kw) != (1, 1):
+            # the flipped kernels, in and out channels swapped within each group
+            wt = (
+                w2.reshape(g, og, cg, kh, kw)[..., ::-1, ::-1]
+                .transpose(0, 2, 1, 3, 4)
+                .reshape(g, cg, og * kh * kw)
+            )
+        # float64 bytes and GEMM columns per sample of a dx tile: the padded
+        # gradient's patch matrix for stride 1, dcols (the forward's shape) otherwise
+        dx_bytes, dx_cols = (8 * co * kh * kw * h * w, h * w) if s == 1 else (sample_bytes, ho * wo)
+
+        def dx_tile(g_t: np.ndarray) -> np.ndarray:
+            """dx [c, t, h, w] of the output gradient g_t [co, t, ho, wo]."""
+            t = g_t.shape[1]
+            if s == 1:
+                # full correlation of the padded gradient with the flipped kernels
+                gp = _pad_hw(g_t, kh - 1 - p, kw - 1 - p)
+                if (kh, kw) == (1, 1):
+                    return (wt @ gp.reshape(g, og, t * h * w)).reshape(c, t, h, w)
+                return (wt @ _patches(gp.transpose(1, 0, 2, 3), kh, kw, 1, g)).reshape(c, t, h, w)
+            dcols = (wt @ g_t.reshape(g, og, t * ho * wo)).reshape(c, kh, kw, t, ho, wo)
+            dxp = np.zeros((c, t, h + 2 * p, w + 2 * p))
+            for i in range(kh):
+                for j in range(kw):
+                    dxp[:, :, i:i + s * ho:s, j:j + s * wo:s] += dcols[:, i, j]
+            return _pad_hw(dxp, -p, -p)
 
         def bwd(gout):
             g_b = np.ascontiguousarray(gout.transpose(1, 0, 2, 3))  # [co, N, ho, wo]
-            g_m = g_b.reshape(g, og, n * ho * wo)
-            dw = (g_m @ cols.transpose(0, 2, 1)).reshape(self.weight.data.shape)
+            # dW is one GEMM over the whole batch's patch matrix, rebuilt
+            # from the kept float32 input rather than held since the forward
+            cols = _patches(xp, kh, kw, s, g)
+            dw = (g_b.reshape(g, og, n * ho * wo) @ cols.transpose(0, 2, 1))
+            del cols
             dx = None
             if need_dx:
-                # dx in [c, N, h, w] order
-                if s == 1:
-                    # full correlation of the padded gradient with the flipped
-                    # kernels, in and out channels swapped within each group
-                    gp = _pad_hw(g_b, kh - 1 - p, kw - 1 - p)
-                    if (kh, kw) == (1, 1):
-                        dx = w2.transpose(0, 2, 1) @ gp.reshape(g, og, n * h * w)
-                    else:
-                        wt = (
-                            w2.reshape(g, og, cg, kh, kw)[..., ::-1, ::-1]
-                            .transpose(0, 2, 1, 3, 4)
-                            .reshape(g, cg, og * kh * kw)
-                        )
-                        dx = wt @ _patches(gp.transpose(1, 0, 2, 3), kh, kw, 1, g)
-                    dx = dx.reshape(c, n, h, w)
-                else:
-                    dcols = (w2.transpose(0, 2, 1) @ g_m).reshape(c, kh, kw, n, ho, wo)
-                    dxp = np.zeros((c, n, h + 2 * p, w + 2 * p))
-                    for i in range(kh):
-                        for j in range(kw):
-                            dxp[:, :, i:i + s * ho:s, j:j + s * wo:s] += dcols[:, i, j]
-                    dx = _pad_hw(dxp, -p, -p)
+                dx = np.empty((c, n, h, w))  # [c, N, h, w] order
+                for i, j in _sample_tiles(n, dx_bytes, cols=dx_cols):
+                    dx[:, i:j] = dx_tile(g_b[:, i:j])
                 dx = dx.transpose(1, 0, 2, 3)
-            grads = [dx, dw]
+            grads = [dx, dw.reshape(self.weight.data.shape)]
             if bias_t is not None:
                 grads.append(gout.sum(axis=(0, 2, 3)))
             return grads
 
-        return label(custom_op("conv2d", inputs, out, bwd), self.name, self)
+        return label(custom_op("conv2d", self._inputs(x), out, bwd), self.name, self)
 
     def _forward_bn(self, x: Tensor, bn: BatchNormLayer, with_relu: bool) -> Tensor:
         """One pass per tile of whole samples that fit the conv's patch
@@ -369,7 +396,7 @@ class Conv2dLayer:
         affine = bn._affine(bn.running_mean.data, bn.running_var.data)
         inputs = self._inputs(x) + (bn.gamma, bn.beta)
         bn_fault = None
-        for i, j in _sample_tiles(inputs, len(out), sample_bytes):
+        for i, j in _sample_tiles(len(out), sample_bytes):
             tile = out[i:j]
             self._tile(xp[i:j], w2, tile)
             _check_finite("conv2d", tile)
@@ -436,57 +463,68 @@ class BatchNormLayer:
         return f64(mean), invstd, f64(self.gamma.data), f64(self.beta.data)
 
     @staticmethod
-    def _tile(xn: np.ndarray, affine: tuple, out: np.ndarray) -> None:
+    def _tile(xn: np.ndarray, affine: tuple, out: np.ndarray,
+              y: Optional[np.ndarray] = None) -> None:
         """Normalize the float64 samples xn in place and round the affine
-        output into their float32 rows out (few temporaries, fixed order)."""
+        output into their float32 rows out, through y if given (fixed
+        order). A shift of None means xn is centred already."""
         shift, scale, gamma_b, beta_b = affine
-        xn -= shift
+        if shift is not None:
+            xn -= shift
         xn *= scale
-        y = xn * gamma_b
+        y = np.multiply(xn, gamma_b, out=y)
         y += beta_b
         out[...] = y
 
     def forward(self, x: Tensor) -> Tensor:
         self._check(x.data)
-        x64 = None
+        x64 = y = None
         if self.training:
-            x64 = x.data.astype(np.float64)
             m = x.data.shape[0] * x.data.shape[2] * x.data.shape[3]
             if m < 2:
                 raise ShapeError(f"batchnorm {self.name}: needs >1 value per channel in train mode")
-            mean = x64.mean(axis=(0, 2, 3))
-            var = x64.var(axis=(0, 2, 3))
+            # one float64 copy, centred in place; the variance is np.var's
+            # arithmetic (add.reduce of the squares, then / m) on it, and
+            # the squares' buffer is then reused for the affine output
+            x64 = x.data.astype(np.float64)
+            mean = x64.mean(axis=(0, 2, 3), keepdims=True)
+            x64 -= mean
+            y = np.multiply(x64, x64)
+            var = np.add.reduce(y, axis=(0, 2, 3)) / m
+            mean = mean.reshape(-1)
             rm = (1 - self.momentum) * self.running_mean.data + self.momentum * mean
             rv = (1 - self.momentum) * self.running_var.data + self.momentum * var * m / (m - 1)
             self.running_mean.data[...] = rm.astype(np.float32)
             self.running_var.data[...] = rv.astype(np.float32)
-            affine = self._affine(mean, var)
+            affine = (None,) + self._affine(mean, var)[1:]
         else:
             affine = self._affine(self.running_mean.data, self.running_var.data)
         _, scale, gamma_b, _ = affine
         inputs = (x, self.gamma, self.beta)
         out = np.empty(x.shape, dtype=np.float32)
-        for i, j in _sample_tiles(inputs, x.shape[0], 8 * x.data[0].size):
+        # a backward rule reads xn, the batch's normalized values: one tile when taped
+        for i, j in _sample_tiles(x.shape[0], 8 * x.data[0].size, recording(inputs)):
             # train mode normalizes views of the copy its statistics came from
             xn = x.data[i:j].astype(np.float64) if x64 is None else x64[i:j]
-            self._tile(xn, affine, out[i:j])
+            self._tile(xn, affine, out[i:j], None if y is None else y[i:j])
         train_stats = self.training
         need_dx = x.requires_grad
 
         def bwd(g):
-            dgamma = np.sum(g * xn, axis=(0, 2, 3))
+            t = g * xn
+            dgamma = np.sum(t, axis=(0, 2, 3))
             dbeta = np.sum(g, axis=(0, 2, 3))
             if not need_dx:
                 return None, dgamma, dbeta
-            dxn = g * gamma_b
+            dx = g * gamma_b
             if train_stats:
-                dx = scale * (
-                    dxn
-                    - dxn.mean(axis=(0, 2, 3), keepdims=True)
-                    - xn * (dxn * xn).mean(axis=(0, 2, 3), keepdims=True)
-                )
-            else:
-                dx = dxn * scale
+                # scale * ((dx - mean(dx)) - xn * mean(dx * xn)), in t and dx
+                dx_mean = dx.mean(axis=(0, 2, 3), keepdims=True)
+                np.multiply(dx, xn, out=t)
+                np.multiply(xn, t.mean(axis=(0, 2, 3), keepdims=True), out=t)
+                dx -= dx_mean
+                dx -= t
+            dx *= scale
             return dx, dgamma, dbeta
 
         return label(custom_op("batchnorm", inputs, out, bwd), self.name, self)

@@ -2,7 +2,10 @@ import numpy as np
 import pytest
 
 import oracles
+from edgediag.config import ExperimentConfig
 from edgediag.datagen import (
+    SAMPLE_RATE,
+    WINDOW_LEN,
     ConditionSpec,
     DataError,
     FaultSpec,
@@ -191,3 +194,26 @@ def test_cross_condition_shift_exceeds_sampling_noise(seed):
     same = oracles.mmd_ref(a, b, bw)
     cross = oracles.mmd_ref(a, c, bw)
     assert cross > same
+
+
+def _resonance_band(x):
+    """log|rfft| of each channel's window over the 200-400 Hz bins, flattened."""
+    spec = np.abs(np.fft.rfft(x.reshape(len(x), x.shape[1], WINDOW_LEN).astype(np.float64)))
+    freqs = np.fft.rfftfreq(WINDOW_LEN, d=1.0 / SAMPLE_RATE)
+    return np.log(spec[..., (freqs >= 200) & (freqs <= 400)]).reshape(len(x), -1)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_resonance_band_probe_transfers_source_to_target(seed):
+    # the fault signature a network could learn: a nearest-centroid
+    # classifier on the resonance band, fit on the source training split,
+    # classifies the target test split
+    cfg = ExperimentConfig()
+    splits = make_splits(*cfg.conditions(), cfg.faults(), cfg.split_counts(), seed)
+    train = _resonance_band(splits.d_training.x)
+    test = _resonance_band(splits.d_test.x)
+    classes = np.unique(splits.d_training.y)
+    centroids = np.stack([train[splits.d_training.y == k].mean(axis=0) for k in classes])
+    d2 = ((test[:, None, :] - centroids[None]) ** 2).sum(axis=-1)
+    accuracy = np.mean(classes[np.argmin(d2, axis=1)] == splits.d_test.y)
+    assert accuracy >= 0.95

@@ -281,6 +281,62 @@ def test_batchnorm_matches_reference_formula(training):
         assert g.shape == ref.shape and max_rel_err(g, ref) < 1e-12
 
 
+def _batchnorm_float64_steps(x, gamma, beta, rm, rv, eps, momentum, training, g):
+    """Batch norm's float64 arithmetic written out step by step, each step
+    a fresh array: output, running stats, dx, dgamma and dbeta."""
+    x64 = x.astype(np.float64)
+    axes = (0, 2, 3)
+    if training:
+        m = x.shape[0] * x.shape[2] * x.shape[3]
+        mean, var = x64.mean(axis=axes), x64.var(axis=axes)
+        rm = ((1 - momentum) * rm + momentum * mean).astype(np.float32)
+        rv = ((1 - momentum) * rv + momentum * var * m / (m - 1)).astype(np.float32)
+    else:
+        mean, var = rm, rv
+
+    def f64(a):
+        return a.astype(np.float64).reshape(1, -1, 1, 1)
+
+    scale = 1.0 / np.sqrt(f64(var) + eps)
+    xn = (x64 - f64(mean)) * scale
+    out = (xn * f64(gamma) + f64(beta)).astype(np.float32)
+    dxn = g * f64(gamma)
+    if training:
+        dx = scale * (dxn - dxn.mean(axis=axes, keepdims=True)
+                      - xn * (dxn * xn).mean(axis=axes, keepdims=True))
+    else:
+        dx = dxn * scale
+    return out, rm, rv, dx, np.sum(g * xn, axis=axes), np.sum(g, axis=axes)
+
+
+@pytest.mark.parametrize("channels_first", [False, True])
+@pytest.mark.parametrize("training", [True, False])
+@pytest.mark.parametrize("shape", [(4, 3, 5, 6), (2, 3, 2, 2), (32, 96, 2, 2)])
+def test_batchnorm_bytes_match_stepwise_arithmetic(shape, training, channels_first):
+    rng = np.random.default_rng(15)
+    c = shape[1]
+    bn = BatchNormLayer(ParamStore(), "b", c)
+    bn.gamma.data[...] = rng.uniform(0.5, 2.0, c)
+    bn.beta.data[...] = rng.standard_normal(c)
+    bn.running_mean.data[...] = rng.standard_normal(c)
+    bn.running_var.data[...] = rng.uniform(0.5, 2.0, c)
+    bn.training = training
+    x = (rng.standard_normal(shape) * 2 + 1).astype(np.float32)
+    g = rng.standard_normal(shape)
+    if channels_first:  # the [C, N, H, W] memory order of a conv's dx
+        g = np.ascontiguousarray(g.transpose(1, 0, 2, 3)).transpose(1, 0, 2, 3)
+    want = _batchnorm_float64_steps(
+        x, bn.gamma.data, bn.beta.data, bn.running_mean.data.copy(),
+        bn.running_var.data.copy(), bn.eps, bn.momentum, training, g)
+    with Tape() as tape:
+        out = bn.forward(Tensor(x, requires_grad=True))
+    dx, dgamma, dbeta = tape.entries[out.node].backward_fn(g)
+    got = (out.data, bn.running_mean.data, bn.running_var.data, dx, dgamma, dbeta)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
+
+
 def test_batchnorm_eval_is_affine():
     store = ParamStore()
     bn = BatchNormLayer(store, "b", 3)
@@ -453,11 +509,56 @@ def test_untaped_conv_tiles_match_taped(monkeypatch, i, bias):
     monkeypatch.setattr(layers, "_patches", counted)
     with Tape():
         taped = layer.forward(Tensor(x, requires_grad=True)).data
-    assert tiles == [11]
+    assert tiles == [3, 3, 3, 2]
     untaped = layer.forward(Tensor(x)).data
-    assert tiles == [11, 3, 3, 3, 2]
+    assert tiles == [3, 3, 3, 2, 3, 3, 3, 2]
     assert untaped.dtype == np.float32
     assert untaped.tobytes() == taped.tobytes()
+
+
+@pytest.mark.parametrize("bias", [False, True])
+@pytest.mark.parametrize("i", range(len(CONV_LAYOUTS)))
+def test_taped_conv_tiles_match_whole_batch(monkeypatch, i, bias):
+    kernel, stride, pad, groups, h, w, _ = CONV_LAYOUTS[i]
+    rng = np.random.default_rng(990 + i)
+    layer = _conv(4, 4, kernel, rng=rng, stride=stride, padding=pad, groups=groups, bias=bias)
+    if bias:
+        layer.bias.data[...] = rng.standard_normal(4)
+    n = 11
+    x = rng.standard_normal((n, 4, h, w)).astype(np.float32)
+    kh, kw = layer.kernel
+    _, ho, wo = layer.out_shape(x.shape)
+    gout = rng.standard_normal((n, 4, ho, wo))
+    tiles = []
+    patches = layers._patches
+
+    def counted(xp, *args):
+        tiles.append(xp.shape[0])
+        return patches(xp, *args)
+
+    monkeypatch.setattr(layers, "_patches", counted)
+    results = []
+    # three samples' forward patch columns, then a budget above the whole batch
+    for budget in (3 * 8 * 4 * kh * kw * ho * wo, 8 * 4 * kh * kw * (h * w + ho * wo) * n):
+        monkeypatch.setattr(layers, "_TILE_BYTES", budget)
+        tiles.clear()
+        with Tape() as tape:
+            out = layer.forward(Tensor(x, requires_grad=True))
+        grads = tape.entries[out.node].backward_fn(gout)
+        results.append([a.tobytes() for a in [out.data] + grads])
+
+        # forward tiles; one whole-batch patch matrix for dW; a stride-1
+        # dx correlates tiles of the padded gradient's patch size, each
+        # spanning whole column blocks
+        t = max(1, budget // (8 * 4 * kh * kw * ho * wo))
+        want = [min(t, n - i) for i in range(0, n, t)] + [n]
+        if stride == 1 and (kh, kw) != (1, 1):
+            step = layers._COL_BLOCK // np.gcd(layers._COL_BLOCK, h * w)
+            t = max(step, budget // (8 * 4 * kh * kw * h * w) // step * step)
+            want += [min(t, n - i) for i in range(0, n, t)]
+        assert tiles == want
+    assert len(results[0]) == (4 if bias else 3)
+    assert results[0] == results[1]
 
 
 @pytest.mark.parametrize("relu", [False, True])

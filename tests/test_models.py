@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -247,23 +249,57 @@ def test_fused_untaped_logits_equal_taped(monkeypatch, kind, n):
 
     monkeypatch.setattr(layers, "_patches", counted)
     ops = _layer_ops(monkeypatch)
+
+    def sizes(t):
+        return [min(t, n - i) for i in range(0, n, t)]
+
+    want = []
+    for entry in convs:
+        want += sizes(max(1, budget // _patch_bytes(entry)))
+    # the backward, last conv first: dW's whole-batch patch matrix, then a
+    # stride-1 dx's tiles of the padded gradient, spanning whole column blocks
+    backward = []
+    for entry in reversed(convs):
+        backward.append(n)
+        kh, kw = entry.layer.kernel
+        if entry.layer.stride == 1 and (kh, kw) != (1, 1):
+            h, w = entry.in_shape[1:]
+            step = layers._COL_BLOCK // np.gcd(layers._COL_BLOCK, h * w)
+            per_sample = 8 * entry.out_shape[0] * kh * kw * h * w
+            backward += sizes(max(step, budget // per_sample // step * step))
     x = rng.standard_normal((n, *CFG.input_shape)).astype(np.float32)
-    with Tape():
-        taped = model.forward_logits(Tensor(x, requires_grad=True)).data
-    assert tiles == [n] * len(convs)
+    with Tape() as tape:
+        xt = Tensor(x, requires_grad=True)
+        logits = model.forward_logits(xt)
+        assert tiles == want
+        tape.backward(weighted_sum(logits), [xt])
+    assert tiles == want + backward
+    taped = logits.data
     assert ops.count("conv2d") == ops.count("batchnorm") == len(convs)
     tiles.clear()
     ops.clear()
     untaped = model.forward_logits(Tensor(x)).data
-    want = []
-    for entry in convs:
-        t = max(1, budget // _patch_bytes(entry))
-        want += [min(t, n - i) for i in range(0, n, t)]
     assert tiles == want
     if n > 1:
         assert tiles[:2] == [(n + 1) // 2, n // 2]
     assert ops == ["dense", "dense"]  # every conv and batch norm ran inside a fused unit
     assert untaped.tobytes() == taped.tobytes()
+
+
+def test_taped_cloud_forward_holds_no_patch_matrices():
+    # a taped conv keeps its float32 input, not its float64 patch matrix
+    # (9 doubles per input value for a 3x3 kernel); the whole-batch
+    # matrices of a batch-32 cloud forward alone would hold over 70 MiB
+    model = build_model(CFG, "cloud", seed=0)
+    x = Tensor(np.random.default_rng(0).standard_normal((32, *CFG.input_shape)).astype(np.float32))
+    tracemalloc.start()
+    try:
+        with Tape():
+            model.forward_logits(x)
+            held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held < 50 << 20
 
 
 def test_frozen_pre_fe_fuses_while_posterior_trains(monkeypatch):
