@@ -551,11 +551,11 @@ def test_taped_conv_tiles_match_whole_batch(monkeypatch, i, bias):
         # dx correlates tiles of the padded gradient's patch size, each
         # spanning whole column blocks
         t = max(1, budget // (8 * 4 * kh * kw * ho * wo))
-        want = [min(t, n - i) for i in range(0, n, t)] + [n]
+        want = [min(t, n - k) for k in range(0, n, t)] + [n]
         if stride == 1 and (kh, kw) != (1, 1):
             step = layers._COL_BLOCK // np.gcd(layers._COL_BLOCK, h * w)
             t = max(step, budget // (8 * 4 * kh * kw * h * w) // step * step)
-            want += [min(t, n - i) for i in range(0, n, t)]
+            want += [min(t, n - k) for k in range(0, n, t)]
         assert tiles == want
     assert len(results[0]) == (4 if bias else 3)
     assert results[0] == results[1]
