@@ -157,7 +157,7 @@ def analyze(model, input_shape: Optional[tuple] = None) -> ModelStats:
         )
 
     attributed = stats.total_params
-    declared = model.store.element_count(trainable_only=True)
+    declared = model.store.element_count()
     if attributed != declared:
         raise AnalysisError(
             f"parameter attribution mismatch: layers sum to {attributed}, "

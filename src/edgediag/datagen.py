@@ -242,10 +242,6 @@ class SampleSet:
     def __len__(self) -> int:
         return int(self.x.shape[0])
 
-    def class_counts(self) -> np.ndarray:
-        k = int(self.y.max()) + 1 if len(self) else 0
-        return np.bincount(self.y, minlength=k)
-
 
 @dataclass
 class SplitCounts:

@@ -17,10 +17,10 @@ its order, and drops it before the input gradient (recomputation instead
 of storage, Chen et al. 2016, arXiv:1604.06174). The input gradient goes one sample tile at
 a time. Tiled and whole-batch results are held to the same bits by the
 tests; a BLAS kernel rounds the columns of a ragged last column block
-differently, so input-gradient tiles span whole blocks. Batch norm: an
-untaped forward normalizes in sample tiles, a taped one the whole batch,
-whose normalized values its backward rule reads; train mode keeps one
-float64 copy of its input, centred and normalized in place.
+differently, so input-gradient tiles span whole blocks. Batch norm
+normalizes the whole batch in one pass (an untaped eval-mode batch norm
+of a model runs inside its conv's tiles, see below); train mode keeps
+one float64 copy of its input, centred and normalized in place.
 For stride 1 the input gradient is the full correlation of the output
 gradient, padded by k-1-p (cropped where that is negative), with the
 flipped kernels, in and out channels swapped within each group (Chellapilla
@@ -56,7 +56,7 @@ from typing import Iterator, Optional
 import numpy as np
 
 from .tensor import (
-    ShapeError, Tensor, _check_finite, add, custom_op, label, recording, relu, tmean,
+    ShapeError, Tensor, _check_finite, add, custom_op, label, recording, relu,
 )
 
 __all__ = [
@@ -120,9 +120,6 @@ class ParamStore:
         for name, e in self._entries.items():
             yield name, e.tensor
 
-    def is_trainable(self, name: str) -> bool:
-        return self._entries[name].trainable
-
     def is_frozen(self, name: str) -> bool:
         return self._entries[name].frozen
 
@@ -142,12 +139,9 @@ class ParamStore:
             if e.trainable and not e.frozen
         ]
 
-    def element_count(self, trainable_only: bool = True) -> int:
-        return sum(
-            e.tensor.size
-            for e in self._entries.values()
-            if e.trainable or not trainable_only
-        )
+    def element_count(self) -> int:
+        """Number of trainable values."""
+        return sum(e.tensor.size for e in self._entries.values() if e.trainable)
 
     def snapshot(self) -> dict:
         return {name: e.tensor.data.copy() for name, e in self._entries.items()}
@@ -202,10 +196,9 @@ def _patches(xp: np.ndarray, kh: int, kw: int, stride: int, groups: int) -> np.n
     return cols
 
 
-# Bytes of float64 intermediates (a conv's patch matrix, a batch norm's
-# normalized copy) a forward or a conv's input gradient works on at a
-# time: small enough to stay in one core's L2 cache from one pass over
-# them to the next.
+# Bytes of float64 intermediates (a conv's patch matrix) a conv's forward
+# or input gradient works on at a time: small enough to stay in one
+# core's L2 cache from one pass over them to the next.
 _TILE_BYTES = 1 << 20
 
 # GEMM columns a BLAS kernel computes as one block. OpenBLAS's double
@@ -215,16 +208,14 @@ _TILE_BYTES = 1 << 20
 _COL_BLOCK = 8
 
 
-def _sample_tiles(n: int, sample_bytes: int, whole: bool = False, cols: int = 0):
+def _sample_tiles(n: int, sample_bytes: int, cols: int = 0):
     """(start, stop) ranges of whole samples covering a batch of n.
 
-    As many samples per range as fit _TILE_BYTES, and at least one; one
-    range, the whole batch, if ``whole`` (a taped batch norm, whose
-    backward rule reads the batch's normalized values). Given the GEMM
-    columns per sample ``cols``, every range but the last spans whole
-    _COL_BLOCK blocks.
+    As many samples per range as fit _TILE_BYTES, and at least one. Given
+    the GEMM columns per sample ``cols``, every range but the last spans
+    whole _COL_BLOCK blocks.
     """
-    tile = n if whole else max(1, _TILE_BYTES // sample_bytes)
+    tile = max(1, _TILE_BYTES // sample_bytes)
     if cols:
         step = _COL_BLOCK // math.gcd(_COL_BLOCK, cols)
         tile = max(step, tile // step * step)
@@ -502,11 +493,10 @@ class BatchNormLayer:
         _, scale, gamma_b, _ = affine
         inputs = (x, self.gamma, self.beta)
         out = np.empty(x.shape, dtype=np.float32)
-        # a backward rule reads xn, the batch's normalized values: one tile when taped
-        for i, j in _sample_tiles(x.shape[0], 8 * x.data[0].size, recording(inputs)):
-            # train mode normalizes views of the copy its statistics came from
-            xn = x.data[i:j].astype(np.float64) if x64 is None else x64[i:j]
-            self._tile(xn, affine, out[i:j], None if y is None else y[i:j])
+        # train mode normalizes the copy its statistics came from; xn is
+        # the batch's normalized values, which the backward rule reads
+        xn = x.data.astype(np.float64) if x64 is None else x64
+        self._tile(xn, affine, out, y)
         train_stats = self.training
         need_dx = x.requires_grad
 
@@ -680,7 +670,13 @@ class ResidualBlock:
 
 
 def global_avg_pool(x: Tensor) -> Tensor:
-    """[N, C, H, W] -> [N, C] spatial mean."""
+    """[N, C, H, W] -> [N, C] spatial mean, summed in float64."""
     if x.data.ndim != 4:
         raise ShapeError(f"global_avg_pool expects [N,C,H,W], got {list(x.shape)}")
-    return tmean(x, axis=(2, 3))
+    shape = x.data.shape
+    out = np.mean(x.data, axis=(2, 3), dtype=np.float64)
+
+    def bwd(g):
+        return (np.broadcast_to((g / (shape[2] * shape[3]))[:, :, None, None], shape),)
+
+    return custom_op("mean", (x,), out, bwd)

@@ -1,9 +1,11 @@
 """Dense float32 tensors with reverse-mode automatic differentiation.
 
-Values are stored as contiguous row-major float32 arrays. Reductions,
-matrix products and other accumulating kernels run their inner loops in
-float64 before rounding the result back to float32, which keeps sums
-stable at edge-device storage precision.
+Values are stored as contiguous row-major float32 arrays. The engine's
+own ops are ``add`` and ``relu``; the layers record their fused kernels
+through :func:`custom_op`. Accumulating kernels (reductions, matrix
+products) run their inner loops in float64 before rounding the result
+back to float32, which keeps sums stable at edge-device storage
+precision.
 
 Differentiation is tape-based: while a :class:`Tape` is active, every
 operation that touches a gradient-requiring tensor appends a node with a
@@ -21,12 +23,6 @@ A backward rule may return None for an input that does not require a
 gradient (the layers and ``lmmd`` do). A target whose tensor has
 ``requires_grad=False`` therefore gets a zero gradient, like a target
 that does not influence the loss.
-
-Broadcasting for elementwise binary ops is deliberately narrow: both
-operands must have equal rank and every axis must either match or be 1
-on one side; additionally a scalar (shape ``(1,)``) combines with
-anything. Gradients of broadcast operands are summed back over the
-expanded axes.
 """
 
 from __future__ import annotations
@@ -47,10 +43,6 @@ __all__ = [
     "recording",
     "label",
     "add",
-    "mul",
-    "matmul",
-    "reshape",
-    "tmean",
     "relu",
     "grad_l2_norm",
 ]
@@ -103,36 +95,9 @@ class Tensor:
             raise ShapeError(f"item() on tensor of shape {self.shape}")
         return float(self.data.reshape(()))
 
-    def reshape(self, shape: Sequence[int]) -> "Tensor":
-        return reshape(self, shape)
-
-    def __add__(self, other):
-        return add(self, _lift(other))
-
-    def __radd__(self, other):
-        return add(_lift(other), self)
-
-    def __mul__(self, other):
-        return mul(self, _lift(other))
-
-    def __rmul__(self, other):
-        return mul(_lift(other), self)
-
-    def __neg__(self):
-        return mul(self, _lift(-1.0))
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
     def __repr__(self):
         grad = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={list(self.shape)}{grad})"
-
-
-def _lift(x) -> Tensor:
-    if isinstance(x, Tensor):
-        return x
-    return Tensor(np.asarray([x], dtype=np.float32))
 
 
 class _TapeEntry:
@@ -349,115 +314,14 @@ def label(t: Tensor, name: str, layer=None) -> Tensor:
     return t
 
 
-def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
-    """Sum a gradient back down to a broadcast operand's shape."""
-    if grad.shape == shape:
-        return grad
-    if shape == (1,):
-        return np.sum(grad, dtype=np.float64).reshape(1)
-    axes = tuple(i for i, n in enumerate(shape) if n == 1 and grad.shape[i] != 1)
-    return np.sum(grad, axis=axes, keepdims=True, dtype=np.float64)
-
-
-def _binary_shapes(op: str, a: Tensor, b: Tensor) -> tuple:
-    sa, sb = a.data.shape, b.data.shape
-    if sa == sb:
-        return np.broadcast_shapes(sa, sb)
-    if sa == (1,) or sb == (1,):
-        return sa if sb == (1,) else sb
-    if len(sa) != len(sb):
-        raise ShapeError(f"{op}: rank mismatch {list(sa)} vs {list(sb)}")
-    for da, db in zip(sa, sb):
-        if da != db and da != 1 and db != 1:
-            raise ShapeError(f"{op}: shapes {list(sa)} and {list(sb)} do not broadcast")
-    return np.broadcast_shapes(sa, sb)
-
-
 # ---------------------------------------------------------------------------
 # elementwise arithmetic
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    _binary_shapes("add", a, b)
-    out = a.data + b.data
-
-    def bwd(g):
-        return _unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape)
-
-    return custom_op("add", (a, b), out, bwd)
-
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    _binary_shapes("mul", a, b)
-    out = a.data * b.data
-    ad, bd = a.data, b.data
-
-    def bwd(g):
-        return _unbroadcast(g * bd, ad.shape), _unbroadcast(g * ad, bd.shape)
-
-    return custom_op("mul", (a, b), out, bwd)
-
-
-# ---------------------------------------------------------------------------
-# linear algebra
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """2-D matrix product with float64 inner accumulation."""
-    if a.data.ndim != 2 or b.data.ndim != 2:
-        raise ShapeError(f"matmul needs 2-D operands, got {list(a.shape)} and {list(b.shape)}")
-    if a.data.shape[1] != b.data.shape[0]:
-        raise ShapeError(f"matmul: inner dims differ, {list(a.shape)} vs {list(b.shape)}")
-    a64 = a.data.astype(np.float64)
-    b64 = b.data.astype(np.float64)
-    out = a64 @ b64
-
-    def bwd(g):
-        return g @ b64.T, a64.T @ g
-
-    return custom_op("matmul", (a, b), out, bwd)
-
-
-def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
-    """Row-major reshape; a pure relabeling that never copies or reorders."""
-    shape = tuple(int(s) for s in shape)
-    if int(np.prod(shape)) != a.data.size:
-        raise ShapeError(f"reshape: cannot view {list(a.shape)} as {list(shape)}")
-    out = a.data.reshape(shape)
-    in_shape = a.data.shape
-
-    def bwd(g):
-        return (g.reshape(in_shape),)
-
-    return custom_op("reshape", (a,), out, bwd)
-
-
-# ---------------------------------------------------------------------------
-# reductions (float64 accumulation; scalar results have shape (1,))
-
-def _norm_axis(axis, ndim):
-    if axis is None:
-        return None
-    if isinstance(axis, int):
-        axis = (axis,)
-    return tuple(a % ndim for a in axis)
-
-
-def tmean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    axis_n = _norm_axis(axis, a.data.ndim)
-    out64 = np.mean(a.data, axis=axis_n, keepdims=keepdims, dtype=np.float64)
-    in_shape = a.data.shape
-    if axis_n is None:
-        count = a.data.size
-        out64 = out64.reshape(1)
-    else:
-        count = int(np.prod([in_shape[i] for i in axis_n]))
-
-    def bwd(g):
-        if axis_n is None:
-            return (np.broadcast_to(g.reshape(()) / count, in_shape),)
-        gg = g if keepdims else np.expand_dims(g, axis_n)
-        return (np.broadcast_to(gg / count, in_shape),)
-
-    return custom_op("mean", (a,), out64, bwd)
+    """Elementwise sum of two tensors of equal shape."""
+    if a.data.shape != b.data.shape:
+        raise ShapeError(f"add: shapes {list(a.shape)} and {list(b.shape)} differ")
+    return custom_op("add", (a, b), a.data + b.data, lambda g: (g, g))
 
 
 # ---------------------------------------------------------------------------

@@ -151,9 +151,6 @@ class ConfusionMatrix:
     def accuracy(self) -> float:
         return float(np.trace(self.counts)) / max(self.total, 1)
 
-    def row_sums(self) -> np.ndarray:
-        return self.counts.sum(axis=1)
-
     def to_text(self, class_names: Optional[Sequence[str]] = None) -> str:
         k = self.counts.shape[0]
         names = list(class_names) if class_names else [str(i) for i in range(k)]

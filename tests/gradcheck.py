@@ -9,20 +9,20 @@ blow up the metric while any formula error still registers at full size.
 
 import numpy as np
 
-from edgediag.tensor import Tape, Tensor, matmul, reshape
+from edgediag.tensor import Tape, Tensor, custom_op
 
 FD_H = 1e-3
 REL_TOL = 1e-4
 
 
 def weighted_sum(out, weights=None):
-    """sum(out * weights) as a [1, 1] tensor: the flattened output times a column.
+    """sum(out * weights), summed in float64, as a one-element tensor.
 
     ``weights`` defaults to all ones, which makes this a plain sum.
     """
-    n = out.size
-    column = np.ones((n, 1)) if weights is None else np.reshape(weights, (n, 1))
-    return matmul(reshape(out, (1, n)), Tensor(column))
+    r = np.ones(out.shape) if weights is None else np.asarray(weights, np.float64).reshape(out.shape)
+    total = np.sum(out.data * r).reshape(1)
+    return custom_op("weighted_sum", (out,), total, lambda g: (g * r,))
 
 
 def max_rel_err(a, b):

@@ -52,8 +52,9 @@ def test_roundtrip_bit_exact_and_ordered(tmp_path):
     for name in store.names():
         assert loaded[name].data.tobytes() == store[name].data.tobytes()
         assert loaded[name].data.shape == store[name].data.shape
-    assert not loaded.is_trainable("layer0.bn.running_mean")
-    assert loaded.is_trainable("layer1.weight")
+    optimizable = {name for name, _ in loaded.optimizable()}
+    assert "layer0.bn.running_mean" not in optimizable
+    assert "layer1.weight" in optimizable
 
 
 def test_save_is_deterministic(tmp_path):

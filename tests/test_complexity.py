@@ -13,7 +13,7 @@ from edgediag.complexity import (
 )
 from edgediag.layers import BuildError, Conv2dLayer, DenseLayer, ParamStore
 from edgediag.models import ArchEntry, ModelConfig, build_model
-from edgediag.tensor import Tensor, mul
+from edgediag.tensor import custom_op
 
 CFG = ModelConfig()
 
@@ -57,7 +57,7 @@ def test_analyze_attribution_is_exact():
     for kind in ("cloud", "edge"):
         model = build_model(CFG, kind, seed=0)
         stats = analyze(model)
-        assert stats.total_params == model.store.element_count(trainable_only=True)
+        assert stats.total_params == model.store.element_count()
 
 
 def test_analyze_covers_every_store_entry_once():
@@ -117,8 +117,13 @@ def test_op_without_convention_in_forward_is_an_error():
     # the traced forward meets an op the analyzer has no convention for
     model = build_model(TINY, "edge", seed=0)
     classify = model.classify
-    model.classify = lambda f: mul(classify(f), Tensor([2.0]))
-    with pytest.raises(AnalysisError, match="mul"):
+
+    def doubled(f):
+        logits = classify(f)
+        return custom_op("double", (logits,), 2.0 * logits.data, lambda g: (2.0 * g,))
+
+    model.classify = doubled
+    with pytest.raises(AnalysisError, match="double"):
         analyze(model)
 
 

@@ -282,7 +282,7 @@ def test_fused_untaped_logits_equal_taped(monkeypatch, kind, n):
     assert tiles == want
     if n > 1:
         assert tiles[:2] == [(n + 1) // 2, n // 2]
-    assert ops == ["dense", "dense"]  # every conv and batch norm ran inside a fused unit
+    assert ops == ["mean", "dense", "dense"]  # every conv and batch norm ran inside a fused unit
     assert untaped.tobytes() == taped.tobytes()
 
 
@@ -379,7 +379,7 @@ def test_architecture_covers_all_parameters():
                 t = getattr(layer, attr, None)
                 if t is not None:
                     total += t.size
-        assert total == model.store.element_count(trainable_only=True)
+        assert total == model.store.element_count()
         assert arch[-1].out_shape == (CFG.num_classes,)
 
 

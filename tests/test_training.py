@@ -388,7 +388,7 @@ def test_confusion_matrix_row_sums_and_trace():
     y_true = [0, 0, 1, 1, 2, 2]
     y_pred = [0, 1, 1, 1, 0, 2]
     conf = ConfusionMatrix.from_predictions(y_true, y_pred, 3)
-    assert conf.row_sums().tolist() == [2, 2, 2]
+    assert conf.counts.sum(axis=1).tolist() == [2, 2, 2]
     assert conf.accuracy == pytest.approx(np.trace(conf.counts) / conf.total)
     assert conf.total == 6
 
