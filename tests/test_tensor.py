@@ -222,7 +222,23 @@ def test_fd_elementwise_binary(seed):
 
 
 @pytest.mark.parametrize("seed", range(20))
-def test_fd_global_avg_pool(seed):
+def test_fd_matmul(seed):
+    # the engine's matmul is the dense layer's x W^T + b
+    rng = np.random.default_rng(300 + seed)
+    n, k, m = (int(rng.integers(1, 5)) for _ in range(3))
+    arrays = [rng.standard_normal((n, k)), rng.standard_normal((m, k)), rng.standard_normal(m)]
+
+    def engine(ts):
+        layer = DenseLayer(ParamStore(), "d", k, m)
+        layer.weight, layer.bias = ts[1], ts[2]
+        return layer.forward(ts[0])
+
+    check_grads(engine, lambda ar: oracles.dense_ref(*ar), arrays, seed=seed)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_fd_reductions(seed):
+    # the engine's one reduction is global pooling's spatial mean
     rng = np.random.default_rng(400 + seed)
     x = rng.standard_normal(tuple(int(rng.integers(1, 5)) for _ in range(4)))
     check_grads(lambda ts: global_avg_pool(ts[0]),
