@@ -329,6 +329,8 @@ def run_grid(cfg: ExperimentConfig, seeds, out_dir, bench: bool = False):
 
 
 def cmd_reproduce(args, cfg: ExperimentConfig) -> int:
+    if args.seeds < 1:
+        raise ConfigError(f"--seeds must be >= 1, got {args.seeds}")
     seeds = [cfg["run.seed"] + i for i in range(args.seeds)]
     accuracies = run_grid(cfg, seeds, args.out, bench=args.bench)
     with open(os.path.join(args.out, "reports", "summary.txt"), encoding="utf-8") as fh:

@@ -62,8 +62,6 @@ class LayerStats:
 
 @dataclass
 class ModelStats:
-    model_kind: str
-    input_shape: tuple
     layers: List[LayerStats] = field(default_factory=list)
 
     @property
@@ -123,17 +121,13 @@ def dense_stats(layer: DenseLayer) -> tuple:
     return layer.weight.size + layer.bias.size, flops
 
 
-def analyze(model, input_shape: Optional[tuple] = None) -> ModelStats:
+def analyze(model) -> ModelStats:
     """Per-layer params / activation memory / FLOPs at batch size 1.
 
     One row per op of the model's traced forward (``model.architecture``).
     """
-    arch = model.architecture(input_shape)
-    stats = ModelStats(
-        model_kind=model.kind,
-        input_shape=tuple(input_shape or model.config.input_shape),
-    )
-    for entry in arch:
+    stats = ModelStats()
+    for entry in model.architecture():
         out_elems = _numel(entry.out_shape)
         mem = out_elems * BYTES_PER_VALUE
         if entry.kind == "conv":
@@ -202,7 +196,6 @@ class BenchReport:
 
 def bench_inference(
     model,
-    input_shape: Optional[tuple] = None,
     repeats: int = 10,
     iters: int = 1000,
     warmup: int = 100,
@@ -211,10 +204,9 @@ def bench_inference(
     """Single-sample forward latency under the repeat/average protocol."""
     if repeats < 1 or iters < 1 or warmup < 0:
         raise ValueError("repeats and iters must be >= 1, warmup >= 0")
-    shape = tuple(input_shape or model.config.input_shape)
     model.set_training(False)
     rng = np.random.default_rng(seed)
-    x = Tensor(rng.standard_normal((1, *shape)).astype(np.float32))
+    x = Tensor(rng.standard_normal((1, *model.config.input_shape)).astype(np.float32))
     for _ in range(warmup):
         model.forward_logits(x)
     per_repeat = []

@@ -593,14 +593,12 @@ class DepthwiseSeparableBlock:
         in_channels: int,
         out_channels: int,
         stride: int = 1,
-        kernel: int = 3,
         rng: Optional[np.random.Generator] = None,
     ):
         self.name = name
-        pad = (kernel - 1) // 2
         self.depthwise = Conv2dLayer(
-            store, name + ".dw", in_channels, in_channels, kernel,
-            stride=stride, padding=pad, groups=in_channels, rng=rng,
+            store, name + ".dw", in_channels, in_channels, 3,
+            stride=stride, padding=1, groups=in_channels, rng=rng,
         )
         self.dw_bn = BatchNormLayer(store, name + ".dw_bn", in_channels)
         self.pointwise = Conv2dLayer(

@@ -1,12 +1,17 @@
 """Alignment and classification losses plus the adaptive weighting rule.
 
-``lmmd`` is the class-conditional (local) maximum mean discrepancy: a
-biased MMD^2 V-statistic computed per class between source and target
-feature batches, with per-class weights normalized to sum to 1 on each
-side, summed over the classes present on both sides. The kernel is a
-mean of Gaussians whose bandwidths are spread geometrically around a
-median-heuristic base. The biased estimator is provably nonnegative,
-which the tests rely on.
+``lmmd`` is the class-conditional (local) maximum mean discrepancy: the
+biased MMD^2 V-statistic of each class present on both sides, summed
+over those classes. All of it is one quadratic form over the stacked
+batch z = [f_src; f_tgt]. Column c of the signed class-weight matrix V
+holds 1/n_c on class c's source rows and -1/m_c on its target rows;
+with W = V V^T and K the kernel matrix of z, the value is sum(W * K)
+(elementwise product), and column c alone gives class c's term
+sum((v_c v_c^T) * K). The kernel is a mean of Gaussians
+exp(-|a - b|^2 / bw) whose bandwidths are spread geometrically around
+the median of the pairwise squared distances of z. Each class term is
+a squared distance between kernel mean embeddings, so the value is
+nonnegative, which the tests rely on.
 
 ``lmmd`` and ``smoothed_cross_entropy`` evaluate in float64 end to end.
 Called with plain arrays they return a float; called with engine tensors
@@ -117,28 +122,9 @@ def _as_array(x) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # local maximum mean discrepancy
 
-def _pairwise_sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    an = np.sum(a * a, axis=1)
-    bn = np.sum(b * b, axis=1)
-    d2 = an[:, None] + bn[None, :] - 2.0 * (a @ b.T)
-    return np.maximum(d2, 0.0)
-
-
-def _class_weight_matrices(y_src, y_tgt, n, m):
-    """P = sum_c w_c w_c^T, Q likewise for the target, R the cross block."""
-    P = np.zeros((n, n))
-    Q = np.zeros((m, m))
-    R = np.zeros((n, m))
-    shared = sorted(set(y_src.tolist()) & set(y_tgt.tolist()))
-    for c in shared:
-        ws = (y_src == c).astype(np.float64)
-        wt = (y_tgt == c).astype(np.float64)
-        ws /= ws.sum()
-        wt /= wt.sum()
-        P += np.outer(ws, ws)
-        Q += np.outer(wt, wt)
-        R += np.outer(ws, wt)
-    return P, Q, R
+def _pairwise_sq_dists(z: np.ndarray) -> np.ndarray:
+    zn = np.sum(z * z, axis=1)
+    return np.maximum(zn[:, None] + zn[None, :] - 2.0 * (z @ z.T), 0.0)
 
 
 def lmmd(f_src, f_tgt, y_src, y_tgt, kcfg: KernelConfig = KernelConfig()):
@@ -161,64 +147,40 @@ def lmmd(f_src, f_tgt, y_src, y_tgt, kcfg: KernelConfig = KernelConfig()):
     if ys.shape != (n,) or yt.shape != (m,):
         raise ValueError("lmmd: label lengths do not match feature batches")
 
-    d_ss = _pairwise_sq_dists(fs, fs)
-    d_tt = _pairwise_sq_dists(ft, ft)
-    d_st = _pairwise_sq_dists(fs, ft)
-
+    z = np.concatenate([fs, ft])
+    d = _pairwise_sq_dists(z)
     if kcfg.fixed_bandwidth is not None:
         base = float(kcfg.fixed_bandwidth)
-        kcfg.validate()
     else:
-        joint = np.concatenate(
-            [
-                d_ss[np.triu_indices(n, k=1)],
-                d_tt[np.triu_indices(m, k=1)],
-                d_st.ravel(),
-            ]
-        )
-        base = float(np.median(joint)) if joint.size else 0.0
-        if base <= 0.0:
-            base = 1.0  # degenerate identical batch
+        # a zero median means an all-identical batch
+        base = float(np.median(d[np.triu_indices(n + m, k=1)])) or 1.0
     bandwidths = kcfg.bandwidths(base)
 
-    P, Q, R = _class_weight_matrices(ys, yt, n, m)
+    # column c: 1/n_c on class c's source rows, -1/m_c on its target rows
+    shared = sorted(set(ys.tolist()) & set(yt.tolist()))
+    v = np.zeros((n + m, len(shared)))
+    for j, c in enumerate(shared):
+        src, tgt = ys == c, yt == c
+        v[:n][src, j] = 1.0 / src.sum()
+        v[n:][tgt, j] = -1.0 / tgt.sum()
+    w = v @ v.T
 
-    value = 0.0
-    kernels = []
-    for bw in bandwidths:
-        k_ss = np.exp(-d_ss / bw)
-        k_tt = np.exp(-d_tt / bw)
-        k_st = np.exp(-d_st / bw)
-        kernels.append((bw, k_ss, k_tt, k_st))
-        value += float(np.sum(P * k_ss) + np.sum(Q * k_tt) - 2.0 * np.sum(R * k_st))
-    value /= len(bandwidths)
+    weighted = [w * np.exp(-d / bw) for bw in bandwidths]
+    value = sum(float(np.sum(wk)) for wk in weighted) / len(bandwidths)
 
     if not (isinstance(f_src, Tensor) or isinstance(f_tgt, Tensor)):
         return value
 
     src_t = f_src if isinstance(f_src, Tensor) else Tensor(fs)
     tgt_t = f_tgt if isinstance(f_tgt, Tensor) else Tensor(ft)
+    # d/dz_i of sum(W * K) is (-4/bw) * sum_k (W * K)_ik (z_i - z_k), summed over bandwidths
+    a = sum((-4.0 / bw) * wk for bw, wk in zip(bandwidths, weighted))
 
     def bwd(g):
-        gs = float(g.reshape(()))
-        d_fs = np.zeros_like(fs)
-        d_ft = np.zeros_like(ft)
-        for bw, k_ss, k_tt, k_st in kernels:
-            M_ss = P * k_ss
-            M_tt = Q * k_tt
-            N = R * k_st
-            r_ss = M_ss.sum(axis=1)
-            r_tt = M_tt.sum(axis=1)
-            n_row = N.sum(axis=1)
-            n_col = N.sum(axis=0)
-            d_fs += (-4.0 / bw) * (r_ss[:, None] * fs - M_ss @ fs) \
-                + (4.0 / bw) * (n_row[:, None] * fs - N @ ft)
-            d_ft += (-4.0 / bw) * (r_tt[:, None] * ft - M_tt @ ft) \
-                + (4.0 / bw) * (n_col[:, None] * ft - N.T @ fs)
-        scale = gs / len(kernels)
+        dz = (a.sum(axis=1)[:, None] * z - a @ z) * (float(g.reshape(())) / len(bandwidths))
         return (
-            d_fs * scale if src_t.requires_grad else None,
-            d_ft * scale if tgt_t.requires_grad else None,
+            dz[:n] if src_t.requires_grad else None,
+            dz[n:] if tgt_t.requires_grad else None,
         )
 
     return custom_op("lmmd", (src_t, tgt_t), np.asarray([value]), bwd)

@@ -20,7 +20,7 @@ training stay fixed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 
@@ -189,7 +189,7 @@ class _Model:
 
     # --- structure description -------------------------------------------
 
-    def architecture(self, input_shape: Optional[tuple] = None) -> List[ArchEntry]:
+    def architecture(self) -> List[ArchEntry]:
         """The ops of one batch-1, eval-mode forward pass, traced on a tape.
 
         Every non-leaf tape entry becomes one ArchEntry, in execution
@@ -197,15 +197,13 @@ class _Model:
         restored afterwards; eval mode leaves parameters and running
         statistics untouched. No other tape may be active.
         """
-        shape = tuple(int(s) for s in (input_shape or self.config.input_shape))
-        if len(shape) != 3 or shape[0] != self.config.input_shape[0]:
-            raise BuildError(f"input shape {shape} does not match the model's channel count")
         bns = self.bn_layers()
         flags = [bn.training for bn in bns]
         self.set_training(False)
         try:
             with Tape() as tape:
-                self.forward_logits(Tensor(np.zeros((1, *shape)), requires_grad=True))
+                x = Tensor(np.zeros((1, *self.config.input_shape)), requires_grad=True)
+                self.forward_logits(x)
         finally:
             for bn, flag in zip(bns, flags):
                 bn.training = flag

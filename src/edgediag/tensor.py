@@ -234,9 +234,6 @@ class GradientMap:
     def __init__(self, grads: dict):
         self._grads = grads
 
-    def __contains__(self, key) -> bool:
-        return self._key(key) in self._grads
-
     def _key(self, key) -> int:
         nid = key.node if isinstance(key, Tensor) else key
         return nid if nid is not None else -1
@@ -246,12 +243,6 @@ class GradientMap:
         if nid not in self._grads:
             raise KeyError(f"node {nid} not present in gradient map")
         return self._grads[nid]
-
-    def __len__(self) -> int:
-        return len(self._grads)
-
-    def items(self):
-        return self._grads.items()
 
 
 def grad_l2_norm(grads: GradientMap, node) -> float:

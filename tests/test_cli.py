@@ -1,11 +1,10 @@
 import json
-import os
 
 import numpy as np
 import pytest
 
 from edgediag import cli
-from edgediag.archive import Manifest, load_archive, read_manifest, save_archive
+from edgediag.archive import load_archive, read_manifest, save_archive
 from edgediag.config import ExperimentConfig, default_config_text
 from edgediag.datagen import load_splits
 from edgediag.models import build_model, freeze_pre_fe, share_pre_fe
@@ -382,6 +381,18 @@ def test_reproduce_emits_three_rows_per_seed(workdir, tmp_path, capsys):
     assert variants == {"proposed", "wo_domain_adaptation", "wo_adaptation_adjustment"}
     summary = (out / "reports" / "summary.txt").read_text()
     assert "model complexity" in summary and "proposed" in summary
+
+
+@pytest.mark.parametrize("count", ["0", "-1"])
+def test_reproduce_rejects_seed_count_below_one(workdir, tmp_path, capsys, count):
+    out = tmp_path / "grid"
+    code = cli.main(["reproduce", "--config", str(workdir["cfg"]), "--seeds", count,
+                     "--out", str(out)])
+    assert code == cli.EXIT_CONFIG
+    err = capsys.readouterr().err.splitlines()
+    assert err[0] == f"error stage=reproduce code=2: --seeds must be >= 1, got {count}"
+    assert sum(l.startswith("error ") for l in err) == 1
+    assert not out.exists()
 
 
 def test_default_config_roundtrips(tmp_path, capsys):

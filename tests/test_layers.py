@@ -150,8 +150,9 @@ def test_residual_projection_exactly_when_shape_changes():
 
 def test_dwsep_identity_factorization():
     store = ParamStore()
-    block = DepthwiseSeparableBlock(store, "d", 3, 3, kernel=1)
-    block.depthwise.weight.data[...] = 1.0
+    block = DepthwiseSeparableBlock(store, "d", 3, 3)
+    block.depthwise.weight.data[...] = 0.0
+    block.depthwise.weight.data[:, :, 1, 1] = 1.0  # centre tap: a 3x3 identity
     block.pointwise.weight.data[...] = np.eye(3, dtype=np.float32).reshape(3, 3, 1, 1)
     for bn in block.bn_layers():
         bn.gamma.data[...] = np.sqrt(1.0 + bn.eps)  # cancel the eps shrink of unit variance

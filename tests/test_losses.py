@@ -127,23 +127,37 @@ def test_lmmd_degenerate_batch_falls_back():
     assert abs(lmmd(f, f, y, y)) <= 1e-9  # zero median -> bandwidth 1.0, no crash
 
 
-@pytest.mark.parametrize("seed", range(5))
-def test_lmmd_gradient_finite_difference(seed):
+@pytest.mark.parametrize(
+    "seed, ys, yt",
+    [(s, [0, 0, 1, 1], [0, 1, 1, 0, 1]) for s in range(5)]
+    # class 2 only on the source side, class 3 only on the target side
+    + [(5, [0, 0, 1, 1, 2], [0, 1, 1, 0, 1, 3])],
+    ids=[str(s) for s in range(5)] + ["one_sided_classes"],
+)
+def test_lmmd_gradient_finite_difference(seed, ys, yt):
     rng = np.random.default_rng(3000 + seed)
-    fs = rng.standard_normal((4, 3))
-    ft = rng.standard_normal((5, 3))
-    ys = np.array([0, 0, 1, 1])
-    yt = np.array([0, 1, 1, 0, 1])
+    ys, yt = np.array(ys), np.array(yt)
+    fs = rng.standard_normal((len(ys), 3))
+    ft = rng.standard_normal((len(yt), 3))
     kcfg = KernelConfig(kernel_count=3, bandwidth_multiplier=2.0, fixed_bandwidth=1.5)
     bws = [0.75, 1.5, 3.0]
+    num_classes = int(max(ys.max(), yt.max())) + 1
 
     def engine(ts):
         return lmmd(ts[0], ts[1], ys, yt, kcfg)
 
     def oracle(ar):
-        return np.asarray([oracles.lmmd_ref(ar[0], ar[1], ys, yt, 2, bws)])
+        return np.asarray([oracles.lmmd_ref(ar[0], ar[1], ys, yt, num_classes, bws)])
 
     check_grads(engine, oracle, [fs, ft], seed=seed)
+
+    # rows of a class missing from the other side take no part in the loss
+    with Tape() as tape:
+        a = Tensor(fs, requires_grad=True)
+        b = Tensor(ft, requires_grad=True)
+        g = tape.backward(engine([a, b]), [a, b])
+    assert np.all(g[a].data[~np.isin(ys, yt)] == 0.0)
+    assert np.all(g[b].data[~np.isin(yt, ys)] == 0.0)
 
 
 def test_lmmd_tensor_scalar_shape():

@@ -7,14 +7,7 @@ from gradcheck import weighted_sum
 from edgediag import layers
 from edgediag.complexity import analyze
 from edgediag.layers import BuildError
-from edgediag.models import (
-    CModel,
-    EModel,
-    ModelConfig,
-    build_model,
-    freeze_pre_fe,
-    share_pre_fe,
-)
+from edgediag.models import ModelConfig, build_model, freeze_pre_fe, share_pre_fe
 from edgediag.tensor import NonFiniteError, Tape, Tensor, relu
 from edgediag.training import _batched_no_tape
 

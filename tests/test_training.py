@@ -6,7 +6,7 @@ import pytest
 
 from edgediag.datagen import ConditionSpec, SampleSet, SplitCounts, fault_taxonomy, make_splits
 from edgediag import layers, training
-from edgediag.losses import KernelConfig, LossTerms, adaptive_weights, weights_from_norms
+from edgediag.losses import LossTerms, adaptive_weights, weights_from_norms
 from edgediag.models import ModelConfig, build_model, freeze_pre_fe, share_pre_fe
 from edgediag.training import (
     Adam,
