@@ -4,8 +4,8 @@ Conventions, fixed and auditable:
 
 * FLOPs = 2 x multiply-accumulates. A convolution producing C' x H' x W'
   from C input channels with a k_h x k_w kernel in g groups costs
-  2 * C'H'W' * (C/g * k_h * k_w), plus H'W'C' adds when biased. A dense
-  layer costs 2 * in * out plus out for its bias.
+  2 * C'H'W' * (C/g * k_h * k_w). A dense layer costs 2 * in * out plus
+  out for its bias.
 * Batch norm counts 2 ops per output element (scale, shift); ReLU,
   residual adds and pooling count 1 op per element they touch.
 * Params counts trainable elements only (batch-norm running statistics
@@ -107,12 +107,7 @@ def conv_stats(layer: Conv2dLayer, out_shape) -> tuple:
     c_out, ho, wo = out_shape
     kh, kw = layer.kernel
     macs_per_out = (layer.in_channels // layer.groups) * kh * kw
-    flops = 2 * c_out * ho * wo * macs_per_out
-    params = layer.weight.size
-    if layer.bias is not None:
-        params += layer.bias.size
-        flops += c_out * ho * wo
-    return params, flops
+    return layer.weight.size, 2 * c_out * ho * wo * macs_per_out
 
 
 def dense_stats(layer: DenseLayer) -> tuple:
@@ -204,20 +199,20 @@ def bench_inference(
     """Single-sample forward latency under the repeat/average protocol."""
     if repeats < 1 or iters < 1 or warmup < 0:
         raise ValueError("repeats and iters must be >= 1, warmup >= 0")
-    model.set_training(False)
     rng = np.random.default_rng(seed)
     x = Tensor(rng.standard_normal((1, *model.config.input_shape)).astype(np.float32))
-    for _ in range(warmup):
-        model.forward_logits(x)
     per_repeat = []
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        for _ in range(iters):
+    with model.eval_mode():
+        for _ in range(warmup):
             model.forward_logits(x)
-        elapsed = time.perf_counter() - t0
-        if elapsed <= 0.0:
-            warnings.warn("timer resolution too coarse for this benchmark", RuntimeWarning)
-        per_repeat.append(elapsed / iters * 1e3)
+        for _ in range(repeats):
+            t0 = time.perf_counter()
+            for _ in range(iters):
+                model.forward_logits(x)
+            elapsed = time.perf_counter() - t0
+            if elapsed <= 0.0:
+                warnings.warn("timer resolution too coarse for this benchmark", RuntimeWarning)
+            per_repeat.append(elapsed / iters * 1e3)
     return BenchReport(per_repeat_ms=per_repeat, repeats=repeats, iters=iters, warmup=warmup)
 
 

@@ -57,9 +57,6 @@ class _Key:
 
 SCHEMA: dict = {
     # architecture (hashed into weight manifests)
-    "model.input_channels": _Key(6, _parse_int, "input channels per sample"),
-    "model.input_height": _Key(32, _parse_int, "input plane height"),
-    "model.input_width": _Key(32, _parse_int, "input plane width"),
     "model.num_classes": _Key(5, _parse_int, "fault classes (label 0 is healthy)"),
     "model.pre_fe_channels": _Key((12, 12), _parse_int_list,
                                   "front block conv widths, shared by both models"),
@@ -173,18 +170,13 @@ class ExperimentConfig:
         return self._hash(("model.",))
 
     def data_hash(self) -> str:
-        return self._hash(("data.", "model.num_classes", "model.input_"))
+        return self._hash(("data.", "model.num_classes"))
 
     # ------------------------------------------------------------------
     # typed views
 
     def model_config(self) -> ModelConfig:
         return ModelConfig(
-            input_shape=(
-                self["model.input_channels"],
-                self["model.input_height"],
-                self["model.input_width"],
-            ),
             num_classes=self["model.num_classes"],
             pre_fe_channels=tuple(self["model.pre_fe_channels"]),
             c_stage_channels=tuple(self["model.c_stage_channels"]),

@@ -22,13 +22,12 @@ normalizes the whole batch in one pass (an untaped eval-mode batch norm
 of a model runs inside its conv's tiles, see below); train mode keeps
 one float64 copy of its input, centred and normalized in place.
 For stride 1 the input gradient is the full correlation of the output
-gradient, padded by k-1-p (cropped where that is negative), with the
-flipped kernels, in and out channels swapped within each group (Chellapilla
-et al. 2006); it goes through the same patch builder, and a 1x1 kernel
-needs no patch matrix at all. Larger strides scatter the per-tap input
-gradient back in [C, N, H, W] order. Like
-``lmmd``, each layer's backward rule returns None for an input that does
-not require a gradient (a data batch, or a frozen block's precomputed
+gradient, padded by k-1-p, with the flipped kernels, in and out channels
+swapped within each group (Chellapilla et al. 2006); it goes through the
+same patch builder, and a 1x1 kernel needs no patch matrix at all. Larger
+strides scatter the per-tap input gradient back in [C, N, H, W] order.
+Like ``lmmd``, each layer's backward rule returns None for an input that
+does not require a gradient (a data batch, or a frozen block's precomputed
 output), skipping that input-gradient computation entirely.
 
 Every conv -> batch norm (-> ReLU) sequence of the blocks runs through
@@ -155,43 +154,36 @@ def he_uniform(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # convolution
 
-def _conv_out_size(size: int, k: int, stride: int, pad: int) -> int:
-    return (size + 2 * pad - k) // stride + 1
-
-
-def _patch_view(xp: np.ndarray, kh: int, kw: int, stride: int, ho: int, wo: int):
+def _patch_view(xp: np.ndarray, k: int, stride: int, ho: int, wo: int):
     n, c, _, _ = xp.shape
     sn, sc, sh, sw = xp.strides
-    shape = (n, c, ho, wo, kh, kw)
+    shape = (n, c, ho, wo, k, k)
     strides = (sn, sc, sh * stride, sw * stride, sh, sw)
     return np.lib.stride_tricks.as_strided(xp, shape, strides)
 
 
 def _pad_hw(a: np.ndarray, ph: int, pw: int) -> np.ndarray:
-    """Zero-pad the last two axes by ph and pw on each side; a negative amount crops."""
-    h, w = a.shape[-2:]
-    a = a[..., max(-ph, 0):h - max(-ph, 0), max(-pw, 0):w - max(-pw, 0)]
-    if ph <= 0 and pw <= 0:
+    """Zero-pad the last two axes by ph >= 0 and pw >= 0 on each side."""
+    if ph == pw == 0:
         return a
-    ph, pw = max(ph, 0), max(pw, 0)
     h, w = a.shape[-2:]
     out = np.zeros(a.shape[:-2] + (h + 2 * ph, w + 2 * pw), dtype=a.dtype)
     out[..., ph:ph + h, pw:pw + w] = a
     return out
 
 
-def _patches(xp: np.ndarray, kh: int, kw: int, stride: int, groups: int) -> np.ndarray:
-    """Float64 patch matrix [groups, C_g*kh*kw, N*H'*W'] of a padded [N, C, H, W] array.
+def _patches(xp: np.ndarray, k: int, stride: int, groups: int) -> np.ndarray:
+    """Float64 patch matrix [groups, C_g*k*k, N*H'*W'] of a padded [N, C, H, W] array.
 
     Rows follow (c, kh, kw) and columns (n, h', w'); one casting copy
     from a strided view fills it.
     """
     n, c, h, w = xp.shape
-    ho = (h - kh) // stride + 1
-    wo = (w - kw) // stride + 1
-    cols = np.empty((groups, c // groups * kh * kw, n * ho * wo))
-    cols.reshape(c, kh, kw, n, ho, wo)[...] = (
-        _patch_view(xp, kh, kw, stride, ho, wo).transpose(1, 4, 5, 0, 2, 3)
+    ho = (h - k) // stride + 1
+    wo = (w - k) // stride + 1
+    cols = np.empty((groups, c // groups * k * k, n * ho * wo))
+    cols.reshape(c, k, k, n, ho, wo)[...] = (
+        _patch_view(xp, k, stride, ho, wo).transpose(1, 4, 5, 0, 2, 3)
     )
     return cols
 
@@ -223,10 +215,12 @@ def _sample_tiles(n: int, sample_bytes: int, cols: int = 0):
 
 
 class Conv2dLayer:
-    """2-D cross-correlation with optional grouping.
+    """2-D cross-correlation with an odd square kernel, zero padding of
+    kernel // 2 on each side and optional grouping.
 
-    weight: [out_channels, in_channels/groups, kh, kw]; bias: [out] or None.
-    Output spatial size is floor((H + 2p - kh)/stride) + 1 per axis.
+    weight: [out_channels, in_channels/groups, k, k]. There is no bias:
+    every conv of the models feeds a batch norm, whose beta does that job.
+    Output spatial size is (H - 1) // stride + 1 per axis.
     """
 
     def __init__(
@@ -235,14 +229,13 @@ class Conv2dLayer:
         name: str,
         in_channels: int,
         out_channels: int,
-        kernel,
+        kernel: int,
         stride: int = 1,
-        padding: int = 0,
         groups: int = 1,
-        bias: bool = False,
         rng: Optional[np.random.Generator] = None,
     ):
-        kh, kw = (kernel, kernel) if isinstance(kernel, int) else kernel
+        if kernel % 2 == 0:
+            raise BuildError(f"{name}: kernel {kernel} is not odd")
         if in_channels % groups != 0 or out_channels % groups != 0:
             raise BuildError(
                 f"{name}: channels ({in_channels}->{out_channels}) not divisible by groups={groups}"
@@ -250,47 +243,35 @@ class Conv2dLayer:
         self.name = name
         self.in_channels = in_channels
         self.out_channels = out_channels
-        self.kernel = (kh, kw)
+        self.kernel = (kernel, kernel)
         self.stride = stride
-        self.padding = padding
+        self.padding = kernel // 2
         self.groups = groups
         rng = rng or np.random.default_rng(0)
-        fan_in = (in_channels // groups) * kh * kw
-        wshape = (out_channels, in_channels // groups, kh, kw)
+        fan_in = (in_channels // groups) * kernel * kernel
+        wshape = (out_channels, in_channels // groups, kernel, kernel)
         self.weight = store.add(name + ".weight", Tensor(he_uniform(rng, wshape, fan_in)))
-        self.bias = (
-            store.add(name + ".bias", Tensor(np.zeros(out_channels, dtype=np.float32)))
-            if bias
-            else None
-        )
 
     def out_shape(self, in_shape) -> tuple:
-        c, h, w = in_shape[-3:]
-        kh, kw = self.kernel
-        ho = _conv_out_size(h, kh, self.stride, self.padding)
-        wo = _conv_out_size(w, kw, self.stride, self.padding)
-        if ho < 1 or wo < 1:
-            raise ShapeError(f"{self.name}: kernel {self.kernel} does not fit input {in_shape}")
-        return (self.out_channels, ho, wo)
-
-    def _inputs(self, x: Tensor) -> tuple:
-        return (x, self.weight) + ((self.bias,) if self.bias is not None else ())
+        _, h, w = in_shape[-3:]
+        s = self.stride
+        return (self.out_channels, (h - 1) // s + 1, (w - 1) // s + 1)
 
     def _prepare(self, x: Tensor) -> tuple:
-        """(padded input, float64 weights [G, og, C_g*kh*kw], empty float32
+        """(padded input, float64 weights [G, og, C_g*k*k], empty float32
         output, float64 patch-matrix bytes per sample) of a forward on x."""
         n, c, h, w = x.shape
         if c != self.in_channels:
             raise ShapeError(
                 f"conv2d {self.name}: expected {self.in_channels} input channels, got {c}"
             )
-        kh, kw = self.kernel
+        k = self.kernel[0]
         co, ho, wo = self.out_shape(x.shape)
         g = self.groups
         xp = _pad_hw(x.data, self.padding, self.padding)
         w2 = self.weight.data.reshape(g, co // g, -1).astype(np.float64)
         out = np.empty((n, co, ho, wo), dtype=np.float32)
-        return xp, w2, out, 8 * c * kh * kw * ho * wo
+        return xp, w2, out, 8 * c * k * k * ho * wo
 
     def _tile(self, xp: np.ndarray, w2: np.ndarray, out: np.ndarray) -> None:
         """Convolve the padded samples xp into their float32 output rows out.
@@ -298,11 +279,7 @@ class Conv2dLayer:
         Fills their float64 patch matrix, multiplies it in float64 and
         rounds into out once.
         """
-        kh, kw = self.kernel
-        g = self.groups
-        out_b = w2 @ _patches(xp, kh, kw, self.stride, g)  # [G, og, samples*ho*wo]
-        if self.bias is not None:
-            out_b += self.bias.data.reshape(g, -1, 1)
+        out_b = w2 @ _patches(xp, self.kernel[0], self.stride, self.groups)  # [G, og, samples*ho*wo]
         out[...] = out_b.reshape(out.shape[1], -1, *out.shape[2:]).transpose(1, 0, 2, 3)
 
     def forward(self, x: Tensor, bn: Optional[BatchNormLayer] = None,
@@ -317,7 +294,7 @@ class Conv2dLayer:
         if bn is not None:
             return self._forward_bn(x, bn, with_relu)
         n, c, h, w = x.shape
-        kh, kw = self.kernel
+        k = self.kernel[0]
         s, p, g = self.stride, self.padding, self.groups
         xp, w2, out, sample_bytes = self._prepare(x)
         co, ho, wo = out.shape[1:]
@@ -325,41 +302,40 @@ class Conv2dLayer:
         og = co // g
         for i, j in _sample_tiles(n, sample_bytes):
             self._tile(xp[i:j], w2, out[i:j])
-        bias_t = self.bias
         need_dx = x.requires_grad
         wt = w2.transpose(0, 2, 1)
-        if s == 1 and (kh, kw) != (1, 1):
+        if s == 1 and k != 1:
             # the flipped kernels, in and out channels swapped within each group
             wt = (
-                w2.reshape(g, og, cg, kh, kw)[..., ::-1, ::-1]
+                w2.reshape(g, og, cg, k, k)[..., ::-1, ::-1]
                 .transpose(0, 2, 1, 3, 4)
-                .reshape(g, cg, og * kh * kw)
+                .reshape(g, cg, og * k * k)
             )
         # float64 bytes and GEMM columns per sample of a dx tile: the padded
         # gradient's patch matrix for stride 1, dcols (the forward's shape) otherwise
-        dx_bytes, dx_cols = (8 * co * kh * kw * h * w, h * w) if s == 1 else (sample_bytes, ho * wo)
+        dx_bytes, dx_cols = (8 * co * k * k * h * w, h * w) if s == 1 else (sample_bytes, ho * wo)
 
         def dx_tile(g_t: np.ndarray) -> np.ndarray:
             """dx [c, t, h, w] of the output gradient g_t [co, t, ho, wo]."""
             t = g_t.shape[1]
+            if s == 1 and k == 1:
+                return (wt @ g_t.reshape(g, og, t * h * w)).reshape(c, t, h, w)
             if s == 1:
-                # full correlation of the padded gradient with the flipped kernels
-                gp = _pad_hw(g_t, kh - 1 - p, kw - 1 - p)
-                if (kh, kw) == (1, 1):
-                    return (wt @ gp.reshape(g, og, t * h * w)).reshape(c, t, h, w)
-                return (wt @ _patches(gp.transpose(1, 0, 2, 3), kh, kw, 1, g)).reshape(c, t, h, w)
-            dcols = (wt @ g_t.reshape(g, og, t * ho * wo)).reshape(c, kh, kw, t, ho, wo)
+                # full correlation of the gradient, padded by k-1-p = p, with the flipped kernels
+                gp = _pad_hw(g_t, p, p)
+                return (wt @ _patches(gp.transpose(1, 0, 2, 3), k, 1, g)).reshape(c, t, h, w)
+            dcols = (wt @ g_t.reshape(g, og, t * ho * wo)).reshape(c, k, k, t, ho, wo)
             dxp = np.zeros((c, t, h + 2 * p, w + 2 * p))
-            for i in range(kh):
-                for j in range(kw):
+            for i in range(k):
+                for j in range(k):
                     dxp[:, :, i:i + s * ho:s, j:j + s * wo:s] += dcols[:, i, j]
-            return _pad_hw(dxp, -p, -p)
+            return dxp[:, :, p:p + h, p:p + w]
 
         def bwd(gout):
             g_b = np.ascontiguousarray(gout.transpose(1, 0, 2, 3))  # [co, N, ho, wo]
             # dW is one GEMM over the whole batch's patch matrix, rebuilt
             # from the kept float32 input rather than held since the forward
-            cols = _patches(xp, kh, kw, s, g)
+            cols = _patches(xp, k, s, g)
             dw = (g_b.reshape(g, og, n * ho * wo) @ cols.transpose(0, 2, 1))
             del cols
             dx = None
@@ -368,12 +344,9 @@ class Conv2dLayer:
                 for i, j in _sample_tiles(n, dx_bytes, cols=dx_cols):
                     dx[:, i:j] = dx_tile(g_b[:, i:j])
                 dx = dx.transpose(1, 0, 2, 3)
-            grads = [dx, dw.reshape(self.weight.data.shape)]
-            if bias_t is not None:
-                grads.append(gout.sum(axis=(0, 2, 3)))
-            return grads
+            return dx, dw.reshape(self.weight.data.shape)
 
-        return label(custom_op("conv2d", self._inputs(x), out, bwd), self.name, self)
+        return label(custom_op("conv2d", (x, self.weight), out, bwd), self.name, self)
 
     def _forward_bn(self, x: Tensor, bn: BatchNormLayer, with_relu: bool) -> Tensor:
         """One pass per tile of whole samples that fit the conv's patch
@@ -385,7 +358,7 @@ class Conv2dLayer:
         xp, w2, out, sample_bytes = self._prepare(x)
         bn._check(out)
         affine = bn._affine(bn.running_mean.data, bn.running_var.data)
-        inputs = self._inputs(x) + (bn.gamma, bn.beta)
+        inputs = (x, self.weight, bn.gamma, bn.beta)
         bn_fault = None
         for i, j in _sample_tiles(len(out), sample_bytes):
             tile = out[i:j]
@@ -532,7 +505,7 @@ def conv_bn(conv: Conv2dLayer, bn: BatchNormLayer, x: Tensor,
     tape entries. Otherwise the conv's forward runs the unit fused, one
     pass per sample tile, and builds one Tensor with the composition's bits.
     """
-    if bn.training or recording(conv._inputs(x) + (bn.gamma, bn.beta)):
+    if bn.training or recording((x, conv.weight, bn.gamma, bn.beta)):
         h = bn.forward(conv.forward(x))
         return h if relu_name is None else label(relu(h), relu_name)
     return conv.forward(x, bn, relu_name is not None)
@@ -598,7 +571,7 @@ class DepthwiseSeparableBlock:
         self.name = name
         self.depthwise = Conv2dLayer(
             store, name + ".dw", in_channels, in_channels, 3,
-            stride=stride, padding=1, groups=in_channels, rng=rng,
+            stride=stride, groups=in_channels, rng=rng,
         )
         self.dw_bn = BatchNormLayer(store, name + ".dw_bn", in_channels)
         self.pointwise = Conv2dLayer(
@@ -634,12 +607,11 @@ class ResidualBlock:
     ):
         self.name = name
         self.conv1 = Conv2dLayer(
-            store, name + ".conv1", in_channels, out_channels, 3,
-            stride=stride, padding=1, rng=rng,
+            store, name + ".conv1", in_channels, out_channels, 3, stride=stride, rng=rng
         )
         self.bn1 = BatchNormLayer(store, name + ".bn1", out_channels)
         self.conv2 = Conv2dLayer(
-            store, name + ".conv2", out_channels, out_channels, 3, padding=1, rng=rng
+            store, name + ".conv2", out_channels, out_channels, 3, rng=rng
         )
         self.bn2 = BatchNormLayer(store, name + ".bn2", out_channels)
         if in_channels != out_channels or stride != 1:

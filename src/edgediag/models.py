@@ -19,11 +19,13 @@ training stay fixed.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import List
 
 import numpy as np
 
+from .datagen import CHANNELS, PLANE
 from .layers import (
     BatchNormLayer,
     BuildError,
@@ -71,7 +73,7 @@ class ModelConfig:
     model far smaller than the cloud model.
     """
 
-    input_shape: tuple = (6, 32, 32)
+    input_shape: tuple = (CHANNELS, *PLANE)
     num_classes: int = 5
     pre_fe_channels: tuple = (12, 12)
     c_stage_channels: tuple = (32, 48, 64, 96)
@@ -121,7 +123,7 @@ class _PreFE:
         in_c = config.input_shape[0]
         for i, width in enumerate(config.pre_fe_channels, start=1):
             self.convs.append(
-                Conv2dLayer(store, f"pre_fe.conv{i}", in_c, int(width), 3, padding=1, rng=rng)
+                Conv2dLayer(store, f"pre_fe.conv{i}", in_c, int(width), 3, rng=rng)
             )
             self.bns.append(BatchNormLayer(store, f"pre_fe.bn{i}", int(width)))
             self.relu_names.append(f"pre_fe.relu{i}")
@@ -168,6 +170,19 @@ class _Model:
         for bn in self.bn_layers():
             bn.set_training(flag)
 
+    @contextmanager
+    def eval_mode(self):
+        """Every batch norm in eval mode inside the block, each one's
+        training flag restored on leaving it."""
+        bns = self.bn_layers()
+        flags = [bn.training for bn in bns]
+        self.set_training(False)
+        try:
+            yield
+        finally:
+            for bn, flag in zip(bns, flags):
+                bn.training = flag
+
     def forward_pre_fe(self, x: Tensor) -> Tensor:
         return self.pre_fe.forward(x)
 
@@ -197,16 +212,9 @@ class _Model:
         restored afterwards; eval mode leaves parameters and running
         statistics untouched. No other tape may be active.
         """
-        bns = self.bn_layers()
-        flags = [bn.training for bn in bns]
-        self.set_training(False)
-        try:
-            with Tape() as tape:
-                x = Tensor(np.zeros((1, *self.config.input_shape)), requires_grad=True)
-                self.forward_logits(x)
-        finally:
-            for bn, flag in zip(bns, flags):
-                bn.training = flag
+        with self.eval_mode(), Tape() as tape:
+            x = Tensor(np.zeros((1, *self.config.input_shape)), requires_grad=True)
+            self.forward_logits(x)
         entries = tape.entries
         return [
             ArchEntry(e.name, _OP_KINDS.get(e.op, e.op), entries[e.inputs[0]].shape[1:],

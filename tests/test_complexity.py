@@ -35,22 +35,22 @@ def test_dense_hand_count():
 
 
 def test_conv_hand_count_same_padded():
-    layer = Conv2dLayer(ParamStore(), "c", 3, 8, 3, padding=1, bias=True)
+    layer = Conv2dLayer(ParamStore(), "c", 3, 8, 3)
     params, flops = conv_stats(layer, (8, 8, 8))
-    assert params == 224  # 8*3*9 + 8
-    assert flops == 2 * 8 * 8 * 8 * 27 + 8 * 8 * 8
+    assert params == 216  # 8*3*9
+    assert flops == 2 * 8 * 8 * 8 * 27
 
 
 def test_depthwise_separable_hand_count():
-    # dw 8ch 3x3 + pw 8->16, both biased: 8*9+8 + 16*8+16 = 224
+    # dw 8ch 3x3 + pw 8->16: 8*9 + 16*8 = 200
     store = ParamStore()
-    dw = Conv2dLayer(store, "dw", 8, 8, 3, padding=1, groups=8, bias=True)
-    pw = Conv2dLayer(store, "pw", 8, 16, 1, bias=True)
+    dw = Conv2dLayer(store, "dw", 8, 8, 3, groups=8)
+    pw = Conv2dLayer(store, "pw", 8, 16, 1)
     p_dw, f_dw = conv_stats(dw, (8, 4, 4))
     p_pw, f_pw = conv_stats(pw, (16, 4, 4))
-    assert p_dw + p_pw == 224
-    assert f_dw == 2 * 8 * 4 * 4 * 9 + 8 * 4 * 4   # groups divide the MACs
-    assert f_pw == 2 * 16 * 4 * 4 * 8 + 16 * 4 * 4
+    assert p_dw + p_pw == 200
+    assert f_dw == 2 * 8 * 4 * 4 * 9   # groups divide the MACs
+    assert f_pw == 2 * 16 * 4 * 4 * 8
 
 
 def test_analyze_attribution_is_exact():
@@ -156,9 +156,11 @@ def _tiny_model():
 
 
 def test_bench_protocol_counts():
-    rep = bench_inference(_tiny_model(), repeats=1, iters=1, warmup=0)
+    model = _tiny_model()
+    rep = bench_inference(model, repeats=1, iters=1, warmup=0)
     assert len(rep.per_repeat_ms) == 1
     assert rep.iters == 1 and rep.repeats == 1
+    assert all(bn.training for bn in model.bn_layers())  # eval mode only while timing
 
 
 def test_bench_report_statistics():

@@ -1,0 +1,24 @@
+"""Every module of the package and its tests uses each name it imports."""
+import ast
+import pathlib
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+
+def test_no_unused_imports():
+    unused = []
+    for path in sorted([*ROOT.glob("src/edgediag/*.py"), *ROOT.glob("tests/*.py")]):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {
+            alias.asname or alias.name.partition(".")[0]
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", "") != "__future__"
+            for alias in node.names
+        }
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        used |= {  # names a module re-exports through __all__
+            elt.value for node in ast.walk(tree) if isinstance(node, ast.Assign)
+            and any(getattr(t, "id", None) == "__all__" for t in node.targets) for elt in node.value.elts
+        }
+        unused += [f"{path.relative_to(ROOT)}: {name}" for name in sorted(imported - used)]
+    assert unused == []

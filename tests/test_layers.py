@@ -15,6 +15,7 @@ from edgediag.layers import (
     _pad_hw,
     global_avg_pool,
 )
+from edgediag.models import ModelConfig, build_model
 from edgediag.tensor import NonFiniteError, ShapeError, Tape, Tensor
 
 
@@ -35,27 +36,29 @@ def test_conv_identity_kernel():
 
 
 def test_conv_ones_counting():
+    # a 3x3 kernel of ones on a 3x3 plane of ones, zero-padded by 1: each
+    # output counts the taps that land inside the plane
     layer = _conv(1, 1, 3)
     layer.weight.data[...] = 1.0
     out = layer.forward(Tensor(np.ones((1, 1, 3, 3), dtype=np.float32)))
-    assert out.shape == (1, 1, 1, 1)
-    assert abs(out.item() - 9.0) < 1e-6
+    assert out.shape == (1, 1, 3, 3)
+    assert np.array_equal(out.data[0, 0], [[4, 6, 4], [6, 9, 6], [4, 6, 4]])
 
 
 def test_conv_matches_naive_oracle():
     rng = np.random.default_rng(2)
-    layer = _conv(2, 3, 3, rng=rng, bias=True)
-    layer.bias.data[...] = rng.standard_normal(3).astype(np.float32)
+    layer = _conv(2, 3, 3, rng=rng)
     x = rng.standard_normal((1, 2, 5, 5)).astype(np.float32)
     got = layer.forward(Tensor(x)).data
-    want = oracles.conv2d_ref(x, layer.weight.data, layer.bias.data)
+    want = oracles.conv2d_ref(x, layer.weight.data, None, padding=1)
     assert max_rel_err(got, want) < 1e-5
 
 
+# a conv's padding is kernel // 2, so pad 0 is a 1x1 and pad 1 a 3x3 kernel
 @pytest.mark.parametrize("stride,pad,groups", [(1, 1, 1), (2, 1, 1), (1, 0, 2), (2, 1, 4)])
 def test_conv_variants_match_oracle(stride, pad, groups):
     rng = np.random.default_rng(stride * 7 + pad * 3 + groups)
-    layer = _conv(4, 8, 3, rng=rng, stride=stride, padding=pad, groups=groups)
+    layer = _conv(4, 8, 2 * pad + 1, rng=rng, stride=stride, groups=groups)
     x = rng.standard_normal((2, 4, 6, 6)).astype(np.float32)
     got = layer.forward(Tensor(x)).data
     want = oracles.conv2d_ref(x, layer.weight.data, None, stride=stride, padding=pad, groups=groups)
@@ -64,7 +67,7 @@ def test_conv_variants_match_oracle(stride, pad, groups):
 
 def test_conv_depthwise_matches_oracle():
     rng = np.random.default_rng(5)
-    layer = _conv(6, 6, 3, rng=rng, padding=1, groups=6)
+    layer = _conv(6, 6, 3, rng=rng, groups=6)
     x = rng.standard_normal((2, 6, 5, 5)).astype(np.float32)
     got = layer.forward(Tensor(x)).data
     want = oracles.conv2d_ref(x, layer.weight.data, None, stride=1, padding=1, groups=6)
@@ -82,9 +85,15 @@ def test_conv_groups_must_divide():
         _conv(3, 4, 3, groups=2)
 
 
+def test_conv_kernel_must_be_odd():
+    with pytest.raises(BuildError, match="not odd"):
+        _conv(3, 4, 2)
+
+
 def test_conv_output_size_formula():
-    layer = _conv(1, 1, 3, stride=2, padding=1)
-    assert layer.out_shape((1, 9, 9)) == (1, 5, 5)  # floor((9+2-3)/2)+1
+    layer = _conv(1, 1, 3, stride=2)
+    assert layer.out_shape((1, 9, 9)) == (1, 5, 5)  # (9 - 1) // 2 + 1
+    assert layer.out_shape((1, 8, 7)) == (1, 4, 4)
 
 
 # ---------------------------------------------------------------------------
@@ -179,14 +188,14 @@ def test_dwsep_equals_two_step_oracle():
 
 
 def test_dwsep_param_count_by_hand():
-    # dw-sep C_in=8 -> C_out=16, 3x3 with conv biases: 8*9+8 + 16*8+16 = 224
+    # dw-sep C_in=8 -> C_out=16, 3x3: 8*9 + 16*8 = 200
     store = ParamStore()
-    dw = Conv2dLayer(store, "dw", 8, 8, 3, padding=1, groups=8, bias=True)
-    pw = Conv2dLayer(store, "pw", 8, 16, 1, bias=True)
+    dw = Conv2dLayer(store, "dw", 8, 8, 3, groups=8)
+    pw = Conv2dLayer(store, "pw", 8, 16, 1)
     total = sum(t.size for _, t in store.items())
-    assert total == 224
-    assert dw.weight.size + dw.bias.size == 8 * 9 + 8
-    assert pw.weight.size + pw.bias.size == 16 * 8 + 16
+    assert total == 200
+    assert dw.weight.size == 8 * 9
+    assert pw.weight.size == 16 * 8
 
 
 # ---------------------------------------------------------------------------
@@ -211,15 +220,13 @@ def test_global_avg_pool_random_oracle():
     assert max_rel_err(got, oracles.global_avg_pool_ref(x)) < 1e-6
 
 
-@pytest.mark.parametrize("ph, pw", [(1, 2), (0, 0), (2, 0), (-1, -2), (-1, 2), (1, -2), (0, -1)])
+@pytest.mark.parametrize("ph, pw", [(1, 2), (0, 0), (2, 0)])
 @pytest.mark.parametrize("transposed", [False, True])
 def test_pad_hw_matches_np_pad_and_slicing(ph, pw, transposed):
     a = np.random.default_rng(12).standard_normal((2, 3, 5, 6))
     if transposed:
         a = a.transpose(1, 0, 2, 3)  # the [C, N, H, W] view the backward pads
-    h, w = a.shape[-2:]
-    want = a[..., max(-ph, 0):h - max(-ph, 0), max(-pw, 0):w - max(-pw, 0)]
-    want = np.pad(want, ((0, 0), (0, 0), (max(ph, 0),) * 2, (max(pw, 0),) * 2))
+    want = np.pad(a, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
     got = _pad_hw(a.astype(np.float32), ph, pw)
     assert got.dtype == np.float32
     assert got.shape == want.shape and np.array_equal(got, want.astype(np.float32))
@@ -376,17 +383,16 @@ def test_fd_conv2d(seed):
     stride = 1 + seed % 2
     x = rng.standard_normal((2, 2, 5, 5))
     w = rng.standard_normal((3, 2, 3, 3)) * 0.5
-    b = rng.standard_normal(3) * 0.2
 
     def engine(ts):
-        layer = _conv(2, 3, 3, stride=stride, padding=1, bias=True)
-        layer.weight, layer.bias = ts[1], ts[2]
+        layer = _conv(2, 3, 3, stride=stride)
+        layer.weight = ts[1]
         return layer.forward(ts[0])
 
     _layer_gradcheck(
         engine,
-        lambda ar: oracles.conv2d_ref(ar[0], ar[1], ar[2], stride=stride, padding=1),
-        [x, w, b],
+        lambda ar: oracles.conv2d_ref(ar[0], ar[1], None, stride=stride, padding=1),
+        [x, w],
         seed,
     )
 
@@ -398,7 +404,7 @@ def test_fd_conv2d_grouped(seed):
     w = rng.standard_normal((4, 1, 3, 3)) * 0.5
 
     def engine(ts):
-        layer = _conv(4, 4, 3, padding=1, groups=4)
+        layer = _conv(4, 4, 3, groups=4)
         layer.weight = ts[1]
         return layer.forward(ts[0])
 
@@ -410,36 +416,45 @@ def test_fd_conv2d_grouped(seed):
     )
 
 
-# (kernel, stride, padding, groups, H, W, bias): both dx rules (stride 1 as a
-# correlation of the padded gradient, stride 2 as a scatter), a flipped-kernel
-# pad k-1-p below zero, even inputs whose last padded row a stride-2 conv skips
+# (kernel, stride, groups, H, W): every kernel, stride and grouping a conv
+# takes (groups 4 is depthwise), so both dx rules (stride 1 as a correlation
+# of the padded gradient, stride 2 as a scatter); odd and even map sizes (a
+# stride-2 conv skips the last padded row of an even one); and the 2x2 map
+# of the cloud model's last stage, which a 3x3 kernel overhangs on every side
 CONV_LAYOUTS = [
-    (3, 1, 1, 1, 4, 5, True),
-    (3, 1, 0, 2, 5, 4, False),
-    (3, 1, 2, 4, 4, 4, False),
-    (3, 2, 1, 1, 4, 4, True),
-    (3, 2, 0, 4, 5, 5, False),
-    (3, 2, 2, 2, 5, 4, False),
-    (1, 1, 0, 1, 4, 5, True),
-    (1, 1, 1, 2, 4, 4, False),
-    (1, 2, 0, 1, 5, 5, False),
-    (1, 2, 0, 4, 4, 4, False),
-    ((1, 3), 1, 1, 1, 5, 4, False),
-    ((1, 3), 1, 2, 4, 4, 5, True),
-    ((1, 3), 2, 1, 2, 5, 5, False),
+    (3, 1, 1, 4, 5),
+    (3, 1, 2, 5, 4),
+    (3, 1, 4, 4, 4),
+    (3, 2, 1, 4, 4),
+    (3, 2, 2, 5, 4),
+    (3, 2, 4, 5, 5),
+    (1, 1, 1, 4, 5),
+    (1, 1, 2, 4, 4),
+    (1, 1, 4, 5, 5),
+    (1, 2, 1, 5, 5),
+    (1, 2, 2, 4, 5),
+    (1, 2, 4, 4, 4),
+    (3, 1, 1, 2, 2),
 ]
 
 
 def _layout_case(i):
-    kernel, stride, pad, groups, h, w, bias = CONV_LAYOUTS[i]
-    kh, kw = (kernel, kernel) if isinstance(kernel, int) else kernel
+    kernel, stride, groups, h, w = CONV_LAYOUTS[i]
     rng = np.random.default_rng(900 + i)
     arrays = [rng.standard_normal((2, 4, h, w)),
-              rng.standard_normal((4, 4 // groups, kh, kw)) * 0.5]
-    if bias:
-        arrays.append(rng.standard_normal(4) * 0.2)
-    layer = _conv(4, 4, kernel, stride=stride, padding=pad, groups=groups, bias=bias)
-    return layer, arrays, dict(stride=stride, padding=pad, groups=groups)
+              rng.standard_normal((4, 4 // groups, kernel, kernel)) * 0.5]
+    layer = _conv(4, 4, kernel, stride=stride, groups=groups)
+    return layer, arrays, dict(stride=stride, padding=kernel // 2, groups=groups)
+
+
+def test_conv_layouts_cover_every_model_conv():
+    swept = {(k, s, g == 4) for k, s, g, _, _ in CONV_LAYOUTS}
+    for kind in ("cloud", "edge"):
+        for entry in build_model(ModelConfig(), kind, seed=0).architecture():
+            if entry.kind == "conv":
+                conv = entry.layer
+                depthwise = conv.groups > 1 and conv.groups == conv.in_channels
+                assert (conv.kernel[0], conv.stride, depthwise) in swept, entry.name
 
 
 @pytest.mark.parametrize("i", range(len(CONV_LAYOUTS)))
@@ -448,13 +463,11 @@ def test_fd_conv2d_layouts(i):
 
     def engine(ts):
         layer.weight = ts[1]
-        if len(ts) > 2:
-            layer.bias = ts[2]
         return layer.forward(ts[0])
 
     _layer_gradcheck(
         engine,
-        lambda ar: oracles.conv2d_ref(ar[0], ar[1], ar[2] if len(ar) > 2 else None, **kw),
+        lambda ar: oracles.conv2d_ref(ar[0], ar[1], None, **kw),
         arrays,
         i,
     )
@@ -464,7 +477,6 @@ def test_fd_conv2d_layouts(i):
 def test_conv_input_without_grad_has_no_dx(i):
     layer, arrays, _ = _layout_case(i)
     layer.weight.data[...] = arrays[1]
-    params = [layer.weight] + ([layer.bias] if layer.bias is not None else [])
     grads = {}
     for needs in (True, False):
         with Tape() as tape:
@@ -473,19 +485,23 @@ def test_conv_input_without_grad_has_no_dx(i):
             grads[needs] = tape.entries[out.node].backward_fn(gout)
     assert grads[True][0].shape == arrays[0].shape
     assert grads[False][0] is None
-    for with_dx, without_dx in zip(grads[True][1:], grads[False][1:]):
-        assert with_dx.tobytes() == without_dx.tobytes()
+    assert grads[True][1].tobytes() == grads[False][1].tobytes()
 
 
-@pytest.mark.parametrize("bias", [False, True])
+def _tile_case(i, grow, seed):
+    """Layout i's conv (random weights) and an 11-sample input, its map one
+    row and one column larger if ``grow``, which flips both sides' parity."""
+    kernel, stride, groups, h, w = CONV_LAYOUTS[i]
+    rng = np.random.default_rng(seed + i)
+    layer = _conv(4, 4, kernel, rng=rng, stride=stride, groups=groups)
+    x = rng.standard_normal((11, 4, h + grow, w + grow)).astype(np.float32)
+    return layer, x, rng
+
+
+@pytest.mark.parametrize("grow", [False, True])
 @pytest.mark.parametrize("i", range(len(CONV_LAYOUTS)))
-def test_untaped_conv_tiles_match_taped(monkeypatch, i, bias):
-    kernel, stride, pad, groups, h, w, _ = CONV_LAYOUTS[i]
-    rng = np.random.default_rng(950 + i)
-    layer = _conv(4, 4, kernel, rng=rng, stride=stride, padding=pad, groups=groups, bias=bias)
-    if bias:
-        layer.bias.data[...] = rng.standard_normal(4)
-    x = rng.standard_normal((11, 4, h, w)).astype(np.float32)
+def test_untaped_conv_tiles_match_taped(monkeypatch, i, grow):
+    layer, x, _ = _tile_case(i, grow, 950)
     kh, kw = layer.kernel
     _, ho, wo = layer.out_shape(x.shape)
     # a budget of three samples' patch columns: untaped tiles of 3, 3, 3 and 2
@@ -507,16 +523,12 @@ def test_untaped_conv_tiles_match_taped(monkeypatch, i, bias):
     assert untaped.tobytes() == taped.tobytes()
 
 
-@pytest.mark.parametrize("bias", [False, True])
+@pytest.mark.parametrize("grow", [False, True])
 @pytest.mark.parametrize("i", range(len(CONV_LAYOUTS)))
-def test_taped_conv_tiles_match_whole_batch(monkeypatch, i, bias):
-    kernel, stride, pad, groups, h, w, _ = CONV_LAYOUTS[i]
-    rng = np.random.default_rng(990 + i)
-    layer = _conv(4, 4, kernel, rng=rng, stride=stride, padding=pad, groups=groups, bias=bias)
-    if bias:
-        layer.bias.data[...] = rng.standard_normal(4)
-    n = 11
-    x = rng.standard_normal((n, 4, h, w)).astype(np.float32)
+def test_taped_conv_tiles_match_whole_batch(monkeypatch, i, grow):
+    layer, x, rng = _tile_case(i, grow, 990)
+    n, _, h, w = x.shape
+    stride = layer.stride
     kh, kw = layer.kernel
     _, ho, wo = layer.out_shape(x.shape)
     gout = rng.standard_normal((n, 4, ho, wo))
@@ -536,7 +548,7 @@ def test_taped_conv_tiles_match_whole_batch(monkeypatch, i, bias):
         with Tape() as tape:
             out = layer.forward(Tensor(x, requires_grad=True))
         grads = tape.entries[out.node].backward_fn(gout)
-        results.append([a.tobytes() for a in [out.data] + grads])
+        results.append([a.tobytes() for a in [out.data, *grads]])
 
         # forward tiles; one whole-batch patch matrix for dW; a stride-1
         # dx correlates tiles of the padded gradient's patch size, each
@@ -548,20 +560,19 @@ def test_taped_conv_tiles_match_whole_batch(monkeypatch, i, bias):
             t = max(step, budget // (8 * 4 * kh * kw * h * w) // step * step)
             want += [min(t, n - k) for k in range(0, n, t)]
         assert tiles == want
-    assert len(results[0]) == (4 if bias else 3)
+    assert len(results[0]) == 3
     assert results[0] == results[1]
 
 
 @pytest.mark.parametrize("relu", [False, True])
 @pytest.mark.parametrize("i", range(len(CONV_LAYOUTS)))
 def test_conv_bn_unit_matches_composition(monkeypatch, i, relu):
-    kernel, stride, pad, groups, h, w, _ = CONV_LAYOUTS[i]
+    kernel, stride, groups, h, w = CONV_LAYOUTS[i]
     rng = np.random.default_rng(970 + i)
     store = ParamStore()
-    conv = Conv2dLayer(store, "c", 4, 4, kernel, stride=stride, padding=pad, groups=groups,
-                       bias=True, rng=rng)
+    conv = Conv2dLayer(store, "c", 4, 4, kernel, stride=stride, groups=groups, rng=rng)
     bn = BatchNormLayer(store, "b", 4)
-    for t in (conv.bias, bn.running_mean, bn.gamma, bn.beta):
+    for t in (bn.running_mean, bn.gamma, bn.beta):
         t.data[...] = rng.standard_normal(4)
     bn.running_var.data[...] = rng.uniform(0.2, 3.0, 4)
     bn.training = False
@@ -742,15 +753,15 @@ def test_fd_dwsep_block(seed):
 
 def _no_grad_cases():
     rng = np.random.default_rng(41)
-    conv = _conv(3, 4, 3, rng=rng, stride=2, padding=1, bias=True)
-    dwconv = _conv(3, 3, 3, rng=rng, padding=1, groups=3)
+    conv = _conv(3, 4, 3, rng=rng, stride=2)
+    dwconv = _conv(3, 3, 3, rng=rng, groups=3)
     dense = DenseLayer(ParamStore(), "d", 5, 4, rng=rng)
     bn_train = BatchNormLayer(ParamStore(), "b", 3)
     bn_eval = BatchNormLayer(ParamStore(), "e", 3)
     bn_eval.set_training(False)
     img = rng.standard_normal((2, 3, 5, 5)).astype(np.float32)
     return {
-        "conv": (conv, img, [conv.weight, conv.bias]),
+        "conv": (conv, img, [conv.weight]),
         "dwconv": (dwconv, img, [dwconv.weight]),
         "dense": (dense, rng.standard_normal((3, 5)).astype(np.float32),
                   [dense.weight, dense.bias]),
