@@ -34,6 +34,8 @@ __all__ = [
     "amplitude_bound",
     "window_and_reshape",
     "make_splits",
+    "save_splits",
+    "load_splits",
 ]
 
 SAMPLE_RATE = 1024

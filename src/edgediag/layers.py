@@ -30,14 +30,15 @@ Like ``lmmd``, each layer's backward rule returns None for an input that
 does not require a gradient (a data batch, or a frozen block's precomputed
 output), skipping that input-gradient computation entirely.
 
-Every conv -> batch norm (-> ReLU) sequence of the blocks runs through
-:func:`conv_bn`. Under a tape, or with the batch norm in train mode, it
-is the composition of the three ops, tape entries and names included.
-Otherwise (untaped, batch norm in eval mode or frozen) the conv's forward
-runs the conv's and the batch norm's tile kernels back to back on each
-sample tile while the tile is in cache, checks each op's output for
-finiteness in the composition's order and clamps in place, without a
-Tensor or tape bookkeeping for the intermediates.
+Every conv -> batch norm (-> ReLU) step of the models is one
+:class:`ConvBN` unit, and each block keeps its steps in one ``units``
+list. Under a tape, or with the batch norm in train mode, a unit's
+forward is the composition of the three ops, tape entries and names
+included. Otherwise (untaped, batch norm in eval mode or frozen) the
+conv's forward runs the conv's and the batch norm's tile kernels back to
+back on each sample tile while the tile is in cache, checks each op's
+output for finiteness in the composition's order and clamps in place,
+without a Tensor or tape bookkeeping for the intermediates.
 Batch norm is not folded into the conv weights: that would drop the
 float32 rounding between the two and change the output bits.
 
@@ -63,7 +64,7 @@ __all__ = [
     "ParamStore",
     "Conv2dLayer",
     "BatchNormLayer",
-    "conv_bn",
+    "ConvBN",
     "DenseLayer",
     "DepthwiseSeparableBlock",
     "ResidualBlock",
@@ -286,9 +287,9 @@ class Conv2dLayer:
                 with_relu: bool = False) -> Tensor:
         """The convolution of x, recorded on the active tape.
 
-        Given ``bn``, the untaped path of :func:`conv_bn` instead (which
-        checks that no tape records the unit and bn is in eval mode or
-        frozen): bn(conv(x)), clamped by a ReLU if ``with_relu``. It runs
+        Given ``bn``, the untaped path of :meth:`ConvBN.forward` instead
+        (which checks that no tape records the unit and bn is in eval mode
+        or frozen): bn(conv(x)), clamped by a ReLU if ``with_relu``. It runs
         here so that a profile of the forward attributes the unit to its conv.
         """
         if bn is not None:
@@ -496,19 +497,43 @@ class BatchNormLayer:
 # ---------------------------------------------------------------------------
 # conv -> batch norm (-> ReLU) units
 
-def conv_bn(conv: Conv2dLayer, bn: BatchNormLayer, x: Tensor,
-            relu_name: Optional[str] = None) -> Tensor:
-    """bn(conv(x)), then a ReLU whose tape entry is named relu_name, if given.
+class ConvBN:
+    """One conv -> batch norm (-> ReLU) step: ``conv``, ``bn`` and
+    ``relu_name``, the tape name of its ReLU (None: no ReLU).
 
-    While a tape records the unit, or the batch norm normalizes with batch
-    statistics, this is exactly the composition of the three ops and their
-    tape entries. Otherwise the conv's forward runs the unit fused, one
-    pass per sample tile, and builds one Tensor with the composition's bits.
+    The conv is built before the batch norm, so store order and rng draws
+    follow the step order. While a tape records the unit, or the batch
+    norm normalizes with batch statistics, the forward is exactly the
+    composition of the three ops and their tape entries. Otherwise the
+    conv's forward runs the unit fused, one pass per sample tile, and
+    builds one Tensor with the composition's bits.
     """
-    if bn.training or recording((x, conv.weight, bn.gamma, bn.beta)):
-        h = bn.forward(conv.forward(x))
-        return h if relu_name is None else label(relu(h), relu_name)
-    return conv.forward(x, bn, relu_name is not None)
+
+    def __init__(
+        self,
+        store: ParamStore,
+        name: str,
+        bn_name: str,
+        relu_name: Optional[str],
+        in_channels: int,
+        out_channels: int,
+        kernel: int,
+        stride: int = 1,
+        groups: int = 1,
+        rng: Optional[np.random.Generator] = None,
+    ):
+        self.conv = Conv2dLayer(
+            store, name, in_channels, out_channels, kernel, stride=stride, groups=groups, rng=rng
+        )
+        self.bn = BatchNormLayer(store, bn_name, out_channels)
+        self.relu_name = relu_name
+
+    def forward(self, x: Tensor) -> Tensor:
+        conv, bn = self.conv, self.bn
+        if bn.training or recording((x, conv.weight, bn.gamma, bn.beta)):
+            h = bn.forward(conv.forward(x))
+            return h if self.relu_name is None else label(relu(h), self.relu_name)
+        return conv.forward(x, bn, self.relu_name is not None)
 
 
 # ---------------------------------------------------------------------------
@@ -557,7 +582,8 @@ class DenseLayer:
 # composite blocks
 
 class DepthwiseSeparableBlock:
-    """Depthwise 3x3 (per-channel) followed by pointwise 1x1, BN+ReLU after each."""
+    """Depthwise 3x3 (per-channel) followed by pointwise 1x1, BN+ReLU after
+    each: ``units`` [dw, pw]."""
 
     def __init__(
         self,
@@ -569,31 +595,25 @@ class DepthwiseSeparableBlock:
         rng: Optional[np.random.Generator] = None,
     ):
         self.name = name
-        self.depthwise = Conv2dLayer(
-            store, name + ".dw", in_channels, in_channels, 3,
-            stride=stride, groups=in_channels, rng=rng,
-        )
-        self.dw_bn = BatchNormLayer(store, name + ".dw_bn", in_channels)
-        self.pointwise = Conv2dLayer(
-            store, name + ".pw", in_channels, out_channels, 1, rng=rng
-        )
-        self.pw_bn = BatchNormLayer(store, name + ".pw_bn", out_channels)
-        self._dw_relu = name + ".dw_relu"
-        self._pw_relu = name + ".pw_relu"
+        self.units = [
+            ConvBN(store, name + ".dw", name + ".dw_bn", name + ".dw_relu",
+                   in_channels, in_channels, 3, stride=stride, groups=in_channels, rng=rng),
+            ConvBN(store, name + ".pw", name + ".pw_bn", name + ".pw_relu",
+                   in_channels, out_channels, 1, rng=rng),
+        ]
 
     def forward(self, x: Tensor) -> Tensor:
-        h = conv_bn(self.depthwise, self.dw_bn, x, self._dw_relu)
-        return conv_bn(self.pointwise, self.pw_bn, h, self._pw_relu)
-
-    def bn_layers(self):
-        return [self.dw_bn, self.pw_bn]
+        for unit in self.units:
+            x = unit.forward(x)
+        return x
 
 
 class ResidualBlock:
     """conv-BN-ReLU-conv-BN plus shortcut, ReLU after the join.
 
-    The shortcut is the identity when shapes already match; otherwise a
-    1x1 projection conv (with BN) is built.
+    ``units`` is [conv1, conv2], plus a third, the 1x1 projection
+    shortcut with BN, when the shapes differ; otherwise the shortcut is
+    the identity.
     """
 
     def __init__(
@@ -606,37 +626,23 @@ class ResidualBlock:
         rng: Optional[np.random.Generator] = None,
     ):
         self.name = name
-        self.conv1 = Conv2dLayer(
-            store, name + ".conv1", in_channels, out_channels, 3, stride=stride, rng=rng
-        )
-        self.bn1 = BatchNormLayer(store, name + ".bn1", out_channels)
-        self.conv2 = Conv2dLayer(
-            store, name + ".conv2", out_channels, out_channels, 3, rng=rng
-        )
-        self.bn2 = BatchNormLayer(store, name + ".bn2", out_channels)
+        self.units = [
+            ConvBN(store, name + ".conv1", name + ".bn1", name + ".relu1",
+                   in_channels, out_channels, 3, stride=stride, rng=rng),
+            ConvBN(store, name + ".conv2", name + ".bn2", None,
+                   out_channels, out_channels, 3, rng=rng),
+        ]
         if in_channels != out_channels or stride != 1:
-            self.proj = Conv2dLayer(
-                store, name + ".proj", in_channels, out_channels, 1, stride=stride, rng=rng
-            )
-            self.proj_bn = BatchNormLayer(store, name + ".proj_bn", out_channels)
-        else:
-            self.proj = None
-            self.proj_bn = None
-        self._relu1 = name + ".relu1"
+            self.units.append(ConvBN(store, name + ".proj", name + ".proj_bn", None,
+                                     in_channels, out_channels, 1, stride=stride, rng=rng))
         self._add = name + ".add"
         self._relu2 = name + ".relu2"
 
     def forward(self, x: Tensor) -> Tensor:
-        h = conv_bn(self.conv1, self.bn1, x, self._relu1)
-        h = conv_bn(self.conv2, self.bn2, h)
-        sc = x if self.proj is None else conv_bn(self.proj, self.proj_bn, x)
+        conv1, conv2, *proj = self.units
+        h = conv2.forward(conv1.forward(x))
+        sc = proj[0].forward(x) if proj else x
         return label(relu(label(add(h, sc), self._add)), self._relu2)
-
-    def bn_layers(self):
-        bns = [self.bn1, self.bn2]
-        if self.proj_bn is not None:
-            bns.append(self.proj_bn)
-        return bns
 
 
 def global_avg_pool(x: Tensor) -> Tensor:

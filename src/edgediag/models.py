@@ -7,9 +7,11 @@ depthwise-separable stages; each posterior block ends in global average
 pooling and a projection dense layer to a common feature width, so the
 two feature vectors are directly comparable for distribution alignment.
 A single dense layer maps features to class logits. Each conv+BN(+ReLU)
-step of both networks is one ``layers.conv_bn`` unit, so an untaped
-eval-mode forward (inference, the transfer stage's reference
-activations) runs them fused, with the same bits as a taped forward.
+step of both networks is one ``layers.ConvBN`` unit: ``pre_fe`` is a
+list of them and every posterior block keeps its own in ``units``, so
+the batch norms are one walk over units, and an untaped eval-mode
+forward (inference, the transfer stage's reference activations) runs
+them fused, with the same bits as a taped forward.
 
 ``share_pre_fe`` copies (never aliases) the front block cloud -> edge;
 ``freeze_pre_fe`` locks those weights and pins their batch-norm layers
@@ -27,14 +29,12 @@ import numpy as np
 
 from .datagen import CHANNELS, PLANE
 from .layers import (
-    BatchNormLayer,
     BuildError,
-    Conv2dLayer,
+    ConvBN,
     DenseLayer,
     DepthwiseSeparableBlock,
     ParamStore,
     ResidualBlock,
-    conv_bn,
     global_avg_pool,
 )
 from .tensor import Tape, Tensor, label, relu
@@ -115,28 +115,6 @@ class ArchEntry:
     layer: object = None
 
 
-class _PreFE:
-    def __init__(self, store: ParamStore, config: ModelConfig, rng: np.random.Generator):
-        self.convs: List[Conv2dLayer] = []
-        self.bns: List[BatchNormLayer] = []
-        self.relu_names: List[str] = []
-        in_c = config.input_shape[0]
-        for i, width in enumerate(config.pre_fe_channels, start=1):
-            self.convs.append(
-                Conv2dLayer(store, f"pre_fe.conv{i}", in_c, int(width), 3, rng=rng)
-            )
-            self.bns.append(BatchNormLayer(store, f"pre_fe.bn{i}", int(width)))
-            self.relu_names.append(f"pre_fe.relu{i}")
-            in_c = int(width)
-        self.out_channels = in_c
-
-    def forward(self, x: Tensor) -> Tensor:
-        h = x
-        for conv, bn, name in zip(self.convs, self.bns, self.relu_names):
-            h = conv_bn(conv, bn, h, name)
-        return h
-
-
 class _Model:
     """Shared body of both networks: ``pre_fe``, the posterior blocks a
     subclass builds (``_build_blocks``), pooling, ``proj`` and the classifier."""
@@ -150,8 +128,13 @@ class _Model:
         self.seed = seed
         self.store = ParamStore()
         rng = np.random.default_rng(seed)
-        self.pre_fe = _PreFE(self.store, config, rng)
-        self.blocks, width = self._build_blocks(self.pre_fe.out_channels, rng)
+        self.pre_fe: List[ConvBN] = []
+        in_c = config.input_shape[0]
+        for i, width in enumerate(config.pre_fe_channels, start=1):
+            self.pre_fe.append(ConvBN(self.store, f"pre_fe.conv{i}", f"pre_fe.bn{i}",
+                                      f"pre_fe.relu{i}", in_c, int(width), 3, rng=rng))
+            in_c = int(width)
+        self.blocks, width = self._build_blocks(in_c, rng)
         self.proj = DenseLayer(self.store, self._pos_name + ".proj", width, config.feature_dim, rng=rng)
         self.classifier = DenseLayer(
             self.store, "classifier", config.feature_dim, config.num_classes, rng=rng
@@ -164,7 +147,7 @@ class _Model:
         raise NotImplementedError
 
     def bn_layers(self) -> list:
-        return self.pre_fe.bns + [bn for b in self.blocks for bn in b.bn_layers()]
+        return [u.bn for u in self.pre_fe + [u for b in self.blocks for u in b.units]]
 
     def set_training(self, flag: bool) -> None:
         for bn in self.bn_layers():
@@ -184,7 +167,9 @@ class _Model:
                 bn.training = flag
 
     def forward_pre_fe(self, x: Tensor) -> Tensor:
-        return self.pre_fe.forward(x)
+        for unit in self.pre_fe:
+            x = unit.forward(x)
+        return x
 
     def features_from_pre_fe(self, h: Tensor) -> Tensor:
         for b in self.blocks:
@@ -299,5 +284,5 @@ def share_pre_fe(source: CModel, target: EModel) -> None:
 def freeze_pre_fe(model: _Model) -> None:
     """Flag pre_fe.* entries frozen and pin its batch norms to eval mode."""
     model.store.freeze_prefix(PRE_FE_PREFIX)
-    for bn in model.pre_fe.bns:
-        bn.freeze()
+    for unit in model.pre_fe:
+        unit.bn.freeze()

@@ -361,8 +361,8 @@ def transfer_edge(
     # fixed reference activations: the cloud features of the source pool and
     # the frozen front block's output on the target pool (bit-identical to
     # recomputing per iteration; both paths are eval-mode and frozen)
-    c_model.set_training(False)
-    f_src_all = _batched_no_tape(c_model.forward_features, d_finetune_src.x)
+    with c_model.eval_mode():
+        f_src_all = _batched_no_tape(c_model.forward_features, d_finetune_src.x)
     h_tgt_all = _batched_no_tape(e_model.forward_pre_fe, d_finetune_tgt.x)
     e_model.set_training(True)
 

@@ -179,16 +179,15 @@ def test_criterion_1_gradient_correctness():
             block = ResidualBlock(store, "r", 2, 3, stride=2, rng=sub)
             arrays = [
                 sub.standard_normal((2, 2, 4, 4)),
-                block.conv1.weight.data.astype(np.float64),
-                block.conv2.weight.data.astype(np.float64),
-                block.proj.weight.data.astype(np.float64),
+                *(unit.conv.weight.data.astype(np.float64) for unit in block.units),
             ]
             return block, arrays
 
         res, res_arrays = _kink_safe_draw(draw_res, res_pre_activations, 30_000 + seed)
 
         def res_engine(ts):
-            res.conv1.weight, res.conv2.weight, res.proj.weight = ts[1], ts[2], ts[3]
+            for unit, w in zip(res.units, ts[1:]):
+                unit.conv.weight = w
             return res.forward(ts[0])
 
         track(check_grads(res_engine, res_oracle, res_arrays, seed=seed))
@@ -213,15 +212,15 @@ def test_criterion_1_gradient_correctness():
             block = DepthwiseSeparableBlock(store, "s", 2, 3, rng=sub)
             arrays = [
                 sub.standard_normal((2, 2, 4, 4)),
-                block.depthwise.weight.data.astype(np.float64),
-                block.pointwise.weight.data.astype(np.float64),
+                *(unit.conv.weight.data.astype(np.float64) for unit in block.units),
             ]
             return block, arrays
 
         dws, dws_arrays = _kink_safe_draw(draw_dws, dws_pre_activations, 40_000 + seed)
 
         def dws_engine(ts):
-            dws.depthwise.weight, dws.pointwise.weight = ts[1], ts[2]
+            for unit, w in zip(dws.units, ts[1:]):
+                unit.conv.weight = w
             return dws.forward(ts[0])
 
         track(check_grads(dws_engine, dws_oracle, dws_arrays, seed=seed))

@@ -1,3 +1,6 @@
+import hashlib
+import pathlib
+import re
 import struct
 import zlib
 
@@ -24,6 +27,16 @@ from edgediag.datagen import ConditionSpec, SplitCounts, fault_taxonomy, load_sp
 from edgediag.layers import ParamStore
 from edgediag.models import ModelConfig, build_model, share_pre_fe
 from edgediag.tensor import Tensor
+
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+# sha256 of the archive of a default-config model built with seed 0: pins
+# the store's entry names, order and shapes and the initial draws
+MODEL_ARCHIVE_SHA256 = {
+    "cloud": "00542d5cd8ca17fc3dee779c5195501a9e52410c4d2cbdc10c61167218a4ead1",
+    "edge": "4172adf4c9a1fe94bb6da3225595e32b86a9e41a599e086a3357ba89767218a9",
+}
 
 
 def _store(seed=0, entries=4):
@@ -55,6 +68,29 @@ def test_roundtrip_bit_exact_and_ordered(tmp_path):
     optimizable = {name for name, _ in loaded.optimizable()}
     assert "layer0.bn.running_mean" not in optimizable
     assert "layer1.weight" in optimizable
+
+
+def test_format_md_worked_example_is_the_encoding(tmp_path):
+    text = (ROOT / "FORMAT.md").read_text(encoding="utf-8").split("## Worked example", 1)[1]
+    manifest = Manifest.from_json(re.search(r"`(\{.*\})`", text).group(1))
+    expected = b""
+    for line in text.split("```")[1].strip().splitlines():
+        offset, *hex_bytes = line.split("|", 1)[0].split()
+        assert int(offset, 16) == len(expected)
+        expected += bytes.fromhex("".join(hex_bytes))
+    assert len(expected) == 121
+    store = ParamStore()
+    store.add("w", Tensor(np.array([1.0, -2.0], dtype=np.float32)))
+    path = tmp_path / "w.edgewts"
+    save_archive(store, manifest, path)
+    assert path.read_bytes() == expected
+
+
+@pytest.mark.parametrize("kind", sorted(MODEL_ARCHIVE_SHA256))
+def test_default_model_archive_is_pinned(tmp_path, kind):
+    path = tmp_path / "m.edgewts"
+    save_archive(build_model(ModelConfig(), kind, 0).store, Manifest(kind=kind), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == MODEL_ARCHIVE_SHA256[kind]
 
 
 def test_save_is_deterministic(tmp_path):

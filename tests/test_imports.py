@@ -1,5 +1,8 @@
-"""Every module of the package and its tests uses each name it imports."""
+"""Every module of the package and its tests uses each name it imports,
+and every module's ``__all__`` lists exactly its public definitions."""
 import ast
+import importlib
+import inspect
 import pathlib
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -22,3 +25,21 @@ def test_no_unused_imports():
         }
         unused += [f"{path.relative_to(ROOT)}: {name}" for name in sorted(imported - used)]
     assert unused == []
+
+
+def test_all_lists_every_public_definition():
+    wrong = []
+    for path in sorted(ROOT.glob("src/edgediag/*.py")):
+        module = importlib.import_module(f"edgediag.{path.stem}")
+        listed = getattr(module, "__all__", None)
+        if listed is None:
+            continue
+        public = {
+            name for name, obj in vars(module).items()
+            if not name.startswith("_") and (inspect.isfunction(obj) or inspect.isclass(obj))
+            and obj.__module__ == module.__name__
+        }
+        wrong += [f"{path.stem}: {name} not in __all__" for name in sorted(public - set(listed))]
+        wrong += [f"{path.stem}: {name} listed but undefined" for name in listed
+                  if not hasattr(module, name)]
+    assert wrong == []

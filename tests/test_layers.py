@@ -100,16 +100,16 @@ def test_conv_output_size_formula():
 # residual block
 
 def _zero_conv_weights(block):
-    block.conv1.weight.data[...] = 0.0
-    block.conv2.weight.data[...] = 0.0
+    for unit in block.units[:2]:
+        unit.conv.weight.data[...] = 0.0
 
 
 def test_residual_zero_branch_positive_input():
     store = ParamStore()
     block = ResidualBlock(store, "r", 4, 4)
     _zero_conv_weights(block)
-    for bn in block.bn_layers():
-        bn.set_training(False)
+    for unit in block.units:
+        unit.bn.set_training(False)
     x = np.abs(np.random.default_rng(1).standard_normal((2, 4, 5, 5))).astype(np.float32)
     out = block.forward(Tensor(x))
     assert np.allclose(out.data, x, atol=1e-6)
@@ -119,8 +119,8 @@ def test_residual_zero_branch_is_relu():
     store = ParamStore()
     block = ResidualBlock(store, "r", 3, 3)
     _zero_conv_weights(block)
-    for bn in block.bn_layers():
-        bn.set_training(False)
+    for unit in block.units:
+        unit.bn.set_training(False)
     x = np.random.default_rng(2).standard_normal((2, 3, 4, 4)).astype(np.float32)
     out = block.forward(Tensor(x))
     assert np.allclose(out.data, np.maximum(x, 0.0), atol=1e-6)
@@ -133,13 +133,14 @@ def test_residual_matches_composition_oracle():
     x = rng.standard_normal((2, 3, 8, 8)).astype(np.float32)
     got = block.forward(Tensor(x)).data
 
-    h = oracles.conv2d_ref(x, block.conv1.weight.data, None, stride=2, padding=1)
-    h = oracles.batchnorm_ref(h, block.bn1.gamma.data, block.bn1.beta.data, block.bn1.eps)
+    c1, c2, p = block.units
+    h = oracles.conv2d_ref(x, c1.conv.weight.data, None, stride=2, padding=1)
+    h = oracles.batchnorm_ref(h, c1.bn.gamma.data, c1.bn.beta.data, c1.bn.eps)
     h = oracles.relu_ref(h)
-    h = oracles.conv2d_ref(h, block.conv2.weight.data, None, stride=1, padding=1)
-    h = oracles.batchnorm_ref(h, block.bn2.gamma.data, block.bn2.beta.data, block.bn2.eps)
-    sc = oracles.conv2d_ref(x, block.proj.weight.data, None, stride=2)
-    sc = oracles.batchnorm_ref(sc, block.proj_bn.gamma.data, block.proj_bn.beta.data, block.proj_bn.eps)
+    h = oracles.conv2d_ref(h, c2.conv.weight.data, None, stride=1, padding=1)
+    h = oracles.batchnorm_ref(h, c2.bn.gamma.data, c2.bn.beta.data, c2.bn.eps)
+    sc = oracles.conv2d_ref(x, p.conv.weight.data, None, stride=2)
+    sc = oracles.batchnorm_ref(sc, p.bn.gamma.data, p.bn.beta.data, p.bn.eps)
     want = oracles.relu_ref(h + sc)
     assert max_rel_err(got, want) < 1e-5
 
@@ -149,9 +150,9 @@ def test_residual_projection_exactly_when_shape_changes():
         store = ParamStore()
         block = ResidualBlock(store, "r", 3, out_c, stride=stride)
         needed = out_c != 3 or stride != 1
-        assert (block.proj is not None) == needed
-        assert (block.proj_bn is not None) == needed
+        assert len(block.units) == (3 if needed else 2)
         assert ("r.proj.weight" in store) == needed
+        assert ("r.proj_bn.gamma" in store) == needed
 
 
 # ---------------------------------------------------------------------------
@@ -160,10 +161,11 @@ def test_residual_projection_exactly_when_shape_changes():
 def test_dwsep_identity_factorization():
     store = ParamStore()
     block = DepthwiseSeparableBlock(store, "d", 3, 3)
-    block.depthwise.weight.data[...] = 0.0
-    block.depthwise.weight.data[:, :, 1, 1] = 1.0  # centre tap: a 3x3 identity
-    block.pointwise.weight.data[...] = np.eye(3, dtype=np.float32).reshape(3, 3, 1, 1)
-    for bn in block.bn_layers():
+    dw, pw = block.units
+    dw.conv.weight.data[...] = 0.0
+    dw.conv.weight.data[:, :, 1, 1] = 1.0  # centre tap: a 3x3 identity
+    pw.conv.weight.data[...] = np.eye(3, dtype=np.float32).reshape(3, 3, 1, 1)
+    for bn in (dw.bn, pw.bn):
         bn.gamma.data[...] = np.sqrt(1.0 + bn.eps)  # cancel the eps shrink of unit variance
         bn.set_training(False)
     x = np.abs(np.random.default_rng(0).standard_normal((2, 3, 4, 4))).astype(np.float32)
@@ -178,11 +180,12 @@ def test_dwsep_equals_two_step_oracle():
     x = rng.standard_normal((2, 4, 8, 8)).astype(np.float32)
     got = block.forward(Tensor(x)).data
 
-    h = oracles.conv2d_ref(x, block.depthwise.weight.data, None, stride=2, padding=1, groups=4)
-    h = oracles.batchnorm_ref(h, block.dw_bn.gamma.data, block.dw_bn.beta.data, block.dw_bn.eps)
+    dw, pw = block.units
+    h = oracles.conv2d_ref(x, dw.conv.weight.data, None, stride=2, padding=1, groups=4)
+    h = oracles.batchnorm_ref(h, dw.bn.gamma.data, dw.bn.beta.data, dw.bn.eps)
     h = oracles.relu_ref(h)
-    h = oracles.conv2d_ref(h, block.pointwise.weight.data, None)
-    h = oracles.batchnorm_ref(h, block.pw_bn.gamma.data, block.pw_bn.beta.data, block.pw_bn.eps)
+    h = oracles.conv2d_ref(h, pw.conv.weight.data, None)
+    h = oracles.batchnorm_ref(h, pw.bn.gamma.data, pw.bn.beta.data, pw.bn.eps)
     want = oracles.relu_ref(h)
     assert max_rel_err(got, want) < 1e-5
 
@@ -569,9 +572,9 @@ def test_taped_conv_tiles_match_whole_batch(monkeypatch, i, grow):
 def test_conv_bn_unit_matches_composition(monkeypatch, i, relu):
     kernel, stride, groups, h, w = CONV_LAYOUTS[i]
     rng = np.random.default_rng(970 + i)
-    store = ParamStore()
-    conv = Conv2dLayer(store, "c", 4, 4, kernel, stride=stride, groups=groups, rng=rng)
-    bn = BatchNormLayer(store, "b", 4)
+    name = "r" if relu else None
+    unit = layers.ConvBN(ParamStore(), "c", "b", name, 4, 4, kernel, stride=stride, groups=groups, rng=rng)
+    conv, bn = unit.conv, unit.bn
     for t in (bn.running_mean, bn.gamma, bn.beta):
         t.data[...] = rng.standard_normal(4)
     bn.running_var.data[...] = rng.uniform(0.2, 3.0, 4)
@@ -580,9 +583,8 @@ def test_conv_bn_unit_matches_composition(monkeypatch, i, relu):
     kh, kw = conv.kernel
     _, ho, wo = conv.out_shape(x.shape)
     monkeypatch.setattr(layers, "_TILE_BYTES", 3 * 8 * 4 * kh * kw * ho * wo)
-    name = "r" if relu else None
     with Tape() as tape:
-        taped = layers.conv_bn(conv, bn, Tensor(x, requires_grad=True), name)
+        taped = unit.forward(Tensor(x, requires_grad=True))
     assert [(e.op, e.name) for e in tape.entries if e.op != "leaf"] == (
         [("conv2d", "c"), ("batchnorm", "b")] + ([("relu", "r")] if relu else []))
     tiles = []
@@ -593,7 +595,7 @@ def test_conv_bn_unit_matches_composition(monkeypatch, i, relu):
         return patches(xp, *args)
 
     monkeypatch.setattr(layers, "_patches", counted)
-    fused = layers.conv_bn(conv, bn, Tensor(x), name)
+    fused = unit.forward(Tensor(x))
     assert tiles == [3, 3, 3, 2]
     assert fused.requires_grad and fused.data.dtype == np.float32
     assert fused.data.tobytes() == taped.data.tobytes()
@@ -604,12 +606,10 @@ def test_conv_bn_unit_matches_composition(monkeypatch, i, relu):
 def test_conv_bn_unit_names_the_op_the_composition_names(monkeypatch, conv_fault):
     # sample 0's batch norm overflows to -inf, which the ReLU would zero;
     # with conv_fault, sample 1's conv overflows too, in the next tile
-    store = ParamStore()
-    conv = Conv2dLayer(store, "c", 2, 2, 1)
-    conv.weight.data[...] = 2 * np.eye(2, dtype=np.float32).reshape(2, 2, 1, 1)
-    bn = BatchNormLayer(store, "b", 2)
-    bn.gamma.data[...] = -1e10
-    bn.training = False
+    unit = layers.ConvBN(ParamStore(), "c", "b", "r", 2, 2, 1)
+    unit.conv.weight.data[...] = 2 * np.eye(2, dtype=np.float32).reshape(2, 2, 1, 1)
+    unit.bn.gamma.data[...] = -1e10
+    unit.bn.training = False
     x = np.ones((2, 2, 3, 3), dtype=np.float32)
     x[0] = 1e30
     if conv_fault:
@@ -617,7 +617,7 @@ def test_conv_bn_unit_names_the_op_the_composition_names(monkeypatch, conv_fault
     op = "conv2d" if conv_fault else "batchnorm"
     with pytest.raises(NonFiniteError, match=f"^{op} produced a non-finite value"):
         with Tape():
-            layers.conv_bn(conv, bn, Tensor(x, requires_grad=True), "r")
+            unit.forward(Tensor(x, requires_grad=True))
     monkeypatch.setattr(layers, "_TILE_BYTES", 8 * 2 * 3 * 3)  # one sample per tile
     tiles = []
     patches = layers._patches
@@ -628,7 +628,7 @@ def test_conv_bn_unit_names_the_op_the_composition_names(monkeypatch, conv_fault
 
     monkeypatch.setattr(layers, "_patches", counted)
     with pytest.raises(NonFiniteError, match=f"^{op} produced a non-finite value"):
-        layers.conv_bn(conv, bn, Tensor(x), "r")
+        unit.forward(Tensor(x))
     assert tiles == [1, 1]
 
 
@@ -703,9 +703,7 @@ def test_fd_residual_block(seed):
     store = ParamStore()
     block = ResidualBlock(store, "r", 2, 3, stride=2, rng=rng)
     x = rng.standard_normal((2, 2, 4, 4))
-    w1 = block.conv1.weight.data.astype(np.float64)
-    w2 = block.conv2.weight.data.astype(np.float64)
-    wp = block.proj.weight.data.astype(np.float64)
+    w1, w2, wp = (unit.conv.weight.data.astype(np.float64) for unit in block.units)
 
     def oracle(ar):
         h = oracles.conv2d_ref(ar[0], ar[1], None, stride=2, padding=1)
@@ -718,7 +716,8 @@ def test_fd_residual_block(seed):
         return oracles.relu_ref(h + sc)
 
     def engine(ts):
-        block.conv1.weight, block.conv2.weight, block.proj.weight = ts[1], ts[2], ts[3]
+        for unit, w in zip(block.units, ts[1:]):
+            unit.conv.weight = w
         return block.forward(ts[0])
 
     _layer_gradcheck(engine, oracle, [x, w1, w2, wp], seed)
@@ -730,8 +729,7 @@ def test_fd_dwsep_block(seed):
     store = ParamStore()
     block = DepthwiseSeparableBlock(store, "d", 2, 3, rng=rng)
     x = rng.standard_normal((2, 2, 4, 4))
-    wd = block.depthwise.weight.data.astype(np.float64)
-    wp = block.pointwise.weight.data.astype(np.float64)
+    wd, wp = (unit.conv.weight.data.astype(np.float64) for unit in block.units)
 
     def oracle(ar):
         h = oracles.conv2d_ref(ar[0], ar[1], None, padding=1, groups=2)
@@ -742,7 +740,8 @@ def test_fd_dwsep_block(seed):
         return oracles.relu_ref(h)
 
     def engine(ts):
-        block.depthwise.weight, block.pointwise.weight = ts[1], ts[2]
+        for unit, w in zip(block.units, ts[1:]):
+            unit.conv.weight = w
         return block.forward(ts[0])
 
     _layer_gradcheck(engine, oracle, [x, wd, wp], seed)

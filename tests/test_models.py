@@ -92,8 +92,8 @@ def test_feature_dims_equal_across_models():
 
 def test_zero_input_zero_stem_finite():
     model = build_model(CFG, "edge", seed=0)
-    for conv in model.pre_fe.convs:
-        conv.weight.data[...] = 0.0
+    for unit in model.pre_fe:
+        unit.conv.weight.data[...] = 0.0
     model.set_training(False)
     x = Tensor(np.zeros((2, 6, 32, 32), dtype=np.float32))
     out = model.forward_features(x)  # NonFiniteError would propagate from the engine
@@ -161,13 +161,13 @@ def test_freeze_flags_and_bn_mode():
     freeze_pre_fe(e)
     for n in e.store.names():
         assert e.store.is_frozen(n) == n.startswith("pre_fe.")
-    for bn in e.pre_fe.bns:
-        assert bn.frozen and not bn.training
+    for unit in e.pre_fe:
+        assert unit.bn.frozen and not unit.bn.training
     e.set_training(True)
-    for bn in e.pre_fe.bns:
-        assert not bn.training  # frozen BN stays in eval
+    for unit in e.pre_fe:
+        assert not unit.bn.training  # frozen BN stays in eval
     for b in e.blocks:
-        assert all(bn.training for bn in b.bn_layers())
+        assert all(unit.bn.training for unit in b.units)
 
 
 def test_frozen_params_still_get_gradients():
@@ -309,8 +309,8 @@ def test_frozen_pre_fe_fuses_while_posterior_trains(monkeypatch):
     h = _batched_no_tape(edge.forward_pre_fe, x)
     assert ops == []
     ref = Tensor(x)
-    for conv, bn in zip(edge.pre_fe.convs, edge.pre_fe.bns):
-        ref = relu(bn.forward(conv.forward(ref)))
+    for unit in edge.pre_fe:
+        ref = relu(unit.bn.forward(unit.conv.forward(ref)))
     assert h.tobytes() == ref.data.tobytes()
     before = edge.store.snapshot()
     with Tape() as tape:
@@ -330,7 +330,7 @@ def test_frozen_pre_fe_fuses_while_posterior_trains(monkeypatch):
 def test_untaped_unit_raises_on_overflow_a_relu_would_zero(op):
     model = build_model(CFG, "edge", seed=2)
     model.set_training(False)
-    conv, bn = model.pre_fe.convs[0], model.pre_fe.bns[0]
+    conv, bn = model.pre_fe[0].conv, model.pre_fe[0].bn
     if op == "conv2d":
         conv.weight.data[...] = -3e38  # -inf in float32 on an all-ones input
     else:
@@ -401,7 +401,7 @@ def test_architecture_leaves_model_state_unchanged(kind, frozen):
     analyze(model)
     assert _state(model) == before  # parameters, running stats, BN flags
     if frozen:
-        assert all(bn.frozen and not bn.training for bn in model.pre_fe.bns)
+        assert all(unit.bn.frozen and not unit.bn.training for unit in model.pre_fe)
     assert any(bn.training for bn in model.bn_layers())
     assert model.architecture() == first
 

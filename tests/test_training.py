@@ -400,6 +400,17 @@ def test_evaluate_restores_bn_modes():
     assert all(bn.training for bn in model.bn_layers())
 
 
+def test_transfer_restores_cloud_bn_modes():
+    splits, c = _xfer_fixture()
+    assert all(bn.training for bn in c.bn_layers())  # as cloud training leaves it
+    snap = c.store.snapshot()
+    transfer_edge(c, _shared_edge(c), splits.d_finetune_src, splits.d_finetune_tgt,
+                  TrainConfig(batch_size=6, num_epoch=1))
+    assert all(bn.training for bn in c.bn_layers())
+    for name, arr in snap.items():  # the reference forward ran in eval mode
+        assert c.store[name].data.tobytes() == arr.tobytes()
+
+
 def test_report_record_roundtrip():
     r = EpochReport(3, 0.5, 1.5, 0.9, 1.1, 1e-3, 0.8, 12.5)
     rec = r.to_record()
