@@ -18,7 +18,9 @@ documented in FORMAT.md at the repository root.
 Entries whose names end in ``.running_mean``/``.running_var`` load as
 non-trainable state; everything else loads trainable. Loading checks
 magic, version, CRC and (when an expectation is given) the manifest's
-model kind and config hash, each failure with its own error type.
+model kind and config hash, each failure with its own error type; a
+manifest whose seed fields are not non-negative integers and a repeated
+entry name raise ``TruncatedError``.
 """
 
 from __future__ import annotations
@@ -108,13 +110,15 @@ class Manifest:
 
     @classmethod
     def from_json(cls, text: str) -> "Manifest":
-        """ValueError unless the text is a JSON object with integer seed fields."""
+        """ValueError unless the text is a JSON object with non-negative
+        integer seed fields."""
         raw = json.loads(text)
         if not isinstance(raw, dict):
             raise ValueError(f"expected a JSON object, got {type(raw).__name__}")
         for key in ("seed", "source_condition"):
-            if type(raw.get(key, 0)) is not int:
-                raise ValueError(f"{key} must be an integer, got {raw[key]!r}")
+            val = raw.get(key, 0)
+            if type(val) is not int or val < 0:
+                raise ValueError(f"{key} must be a non-negative integer, got {val!r}")
         return cls(
             kind=raw.get("kind", ""),
             config_hash=raw.get("config_hash", ""),
@@ -225,18 +229,19 @@ def _parse(blob: bytes):
     except (ValueError, UnicodeDecodeError) as err:
         raise TruncatedError(f"manifest does not parse: {err}") from None
     count = rd.u32("entry count")
-    entries = []
+    entries = {}  # name -> array, in file order
     for i in range(count):
         nlen = rd.u16(f"entry {i} name length")
         try:
             name = rd.take(nlen, f"entry {i} name").decode("utf-8")
         except UnicodeDecodeError:
             raise TruncatedError(f"entry {i} name is not UTF-8") from None
+        if name in entries:
+            raise TruncatedError(f"entry {i} repeats the name {name!r}")
         ndim = rd.u8(f"entry {i} rank")
         dims = tuple(rd.u32(f"entry {i} dim") for _ in range(ndim))
         payload = rd.take(4 * math.prod(dims), f"entry {i} payload")
-        arr = np.frombuffer(payload, dtype="<f4").reshape(dims).copy()
-        entries.append((name, arr))
+        entries[name] = np.frombuffer(payload, dtype="<f4").reshape(dims).copy()
     if rd.pos != len(rd.blob):
         raise TruncatedError(f"{len(rd.blob) - rd.pos} trailing bytes after the last entry")
     return manifest, entries
@@ -249,7 +254,7 @@ def read_manifest(path) -> Manifest:
 
 def _store_from(entries) -> ParamStore:
     store = ParamStore()
-    for name, arr in entries:
+    for name, arr in entries.items():
         trainable = not name.endswith(_NONTRAINABLE_SUFFIXES)
         store.add(name, Tensor(arr), trainable=trainable)
     return store
@@ -271,4 +276,4 @@ def load_subset(path, name_prefix: str) -> ParamStore:
     yields an empty store, not an error.
     """
     _, entries = _parse(_read_blob(path))
-    return _store_from([(n, a) for n, a in entries if n.startswith(name_prefix)])
+    return _store_from({n: a for n, a in entries.items() if n.startswith(name_prefix)})

@@ -434,6 +434,8 @@ def main(argv=None) -> int:
         if hasattr(args, "config"):
             cfg = ExperimentConfig.from_file(args.config)
             cfg.validate()
+        if getattr(args, "seed", None) is not None and args.seed < 0:
+            raise ConfigError(f"--seed must be >= 0, got {args.seed}")
         return args.fn(args, cfg)
     except Exception as err:  # mapped to documented exit codes below
         for exc_type, code in _ERROR_CODES:

@@ -62,7 +62,6 @@ SCHEMA: dict = {
                                   "front block conv widths, shared by both models"),
     "model.c_stage_channels": _Key((32, 48, 64, 96), _parse_int_list,
                                    "cloud residual stage widths (stride 2 per stage)"),
-    "model.c_blocks_per_stage": _Key(1, _parse_int, "residual blocks per cloud stage"),
     "model.e_stage_channels": _Key((16, 24, 32, 48), _parse_int_list,
                                    "edge depthwise-separable stage widths (exactly 4)"),
     "model.feature_dim": _Key(48, _parse_int, "shared feature width after pooling"),
@@ -180,7 +179,6 @@ class ExperimentConfig:
             num_classes=self["model.num_classes"],
             pre_fe_channels=tuple(self["model.pre_fe_channels"]),
             c_stage_channels=tuple(self["model.c_stage_channels"]),
-            c_blocks_per_stage=self["model.c_blocks_per_stage"],
             e_stage_channels=tuple(self["model.e_stage_channels"]),
             feature_dim=self["model.feature_dim"],
         )
@@ -207,7 +205,10 @@ class ExperimentConfig:
         )
 
     def validate(self) -> None:
-        """Check the model, both training stages and the data before any work starts."""
+        """Check the seed, the model, both training stages and the data
+        before any work starts."""
+        if self["run.seed"] < 0:
+            raise ConfigError(f"run.seed must be >= 0, got {self['run.seed']}")
         for prefix, parts in (("model", [self.model_config()]),
                               ("cloud", [self.cloud_train_config()]),
                               ("transfer", [self.transfer_train_config()]),

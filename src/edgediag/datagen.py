@@ -22,6 +22,10 @@ from typing import List, Sequence
 
 import numpy as np
 
+from .archive import Manifest, load_archive, save_archive
+from .layers import ParamStore
+from .tensor import Tensor
+
 __all__ = [
     "DataError",
     "ConditionSpec",
@@ -337,10 +341,6 @@ _SPLIT_KEYS = (
 
 def save_splits(splits: Splits, path, manifest=None) -> None:
     """Persist all four splits in one archive so runs replay without regeneration."""
-    from .archive import Manifest, save_archive
-    from .layers import ParamStore
-    from .tensor import Tensor
-
     store = ParamStore()
     for key, attr, _ in _SPLIT_KEYS:
         s: SampleSet = getattr(splits, attr)
@@ -351,8 +351,6 @@ def save_splits(splits: Splits, path, manifest=None) -> None:
 
 
 def load_splits(path, expected_manifest=None) -> Splits:
-    from .archive import load_archive
-
     store = load_archive(path, expected_manifest)
     sets = {}
     for key, attr, role in _SPLIT_KEYS:

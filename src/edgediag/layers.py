@@ -594,7 +594,6 @@ class DepthwiseSeparableBlock:
         stride: int = 1,
         rng: Optional[np.random.Generator] = None,
     ):
-        self.name = name
         self.units = [
             ConvBN(store, name + ".dw", name + ".dw_bn", name + ".dw_relu",
                    in_channels, in_channels, 3, stride=stride, groups=in_channels, rng=rng),
@@ -625,7 +624,6 @@ class ResidualBlock:
         stride: int = 1,
         rng: Optional[np.random.Generator] = None,
     ):
-        self.name = name
         self.units = [
             ConvBN(store, name + ".conv1", name + ".bn1", name + ".relu1",
                    in_channels, out_channels, 3, stride=stride, rng=rng),

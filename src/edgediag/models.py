@@ -3,7 +3,8 @@
 Both networks share a structurally identical front feature extractor
 (the ``pre_fe.*`` subtree): two 3x3 conv+BN+ReLU stages. The cloud model
 continues with residual stages, the edge model with exactly four
-depthwise-separable stages; each posterior block ends in global average
+depthwise-separable stages; each stage is one stride-2 block, built by
+one loop shared by both models. The posterior ends in global average
 pooling and a projection dense layer to a common feature width, so the
 two feature vectors are directly comparable for distribution alignment.
 A single dense layer maps features to class logits. Each conv+BN(+ReLU)
@@ -77,7 +78,6 @@ class ModelConfig:
     num_classes: int = 5
     pre_fe_channels: tuple = (12, 12)
     c_stage_channels: tuple = (32, 48, 64, 96)
-    c_blocks_per_stage: int = 1
     e_stage_channels: tuple = (16, 24, 32, 48)
     feature_dim: int = 48
 
@@ -94,8 +94,6 @@ class ModelConfig:
             vals = getattr(self, fld)
             if not vals or any(int(v) <= 0 for v in vals):
                 raise BuildError(f"{fld} must be non-empty positive widths, got {vals}")
-        if self.c_blocks_per_stage < 1:
-            raise BuildError(f"c_blocks_per_stage must be >= 1, got {self.c_blocks_per_stage}")
         if self.feature_dim < 1:
             raise BuildError(f"feature_dim must be >= 1, got {self.feature_dim}")
 
@@ -116,16 +114,20 @@ class ArchEntry:
 
 
 class _Model:
-    """Shared body of both networks: ``pre_fe``, the posterior blocks a
-    subclass builds (``_build_blocks``), pooling, ``proj`` and the classifier."""
+    """Shared body of both networks: ``pre_fe``, one stride-2 posterior
+    block per stage width, pooling, ``proj`` and the classifier. A
+    subclass names its block class, the ``ModelConfig`` field that holds
+    its stage widths and the name pattern of stage i's block."""
 
     kind = ""
-    _pos_name = ""  # name prefix of the posterior block
+    _pos_name = ""  # name prefix of the posterior
+    _block = None
+    _stage_field = ""
+    _block_name = ""  # str.format pattern, filled with the 1-based stage index
 
     def __init__(self, config: ModelConfig, seed: int):
         config.validate()
         self.config = config
-        self.seed = seed
         self.store = ParamStore()
         rng = np.random.default_rng(seed)
         self.pre_fe: List[ConvBN] = []
@@ -134,17 +136,17 @@ class _Model:
             self.pre_fe.append(ConvBN(self.store, f"pre_fe.conv{i}", f"pre_fe.bn{i}",
                                       f"pre_fe.relu{i}", in_c, int(width), 3, rng=rng))
             in_c = int(width)
-        self.blocks, width = self._build_blocks(in_c, rng)
-        self.proj = DenseLayer(self.store, self._pos_name + ".proj", width, config.feature_dim, rng=rng)
+        self.blocks = []
+        for i, width in enumerate(getattr(config, self._stage_field), start=1):
+            self.blocks.append(self._block(self.store, self._block_name.format(i), in_c,
+                                           int(width), stride=2, rng=rng))
+            in_c = int(width)
+        self.proj = DenseLayer(self.store, self._pos_name + ".proj", in_c, config.feature_dim, rng=rng)
         self.classifier = DenseLayer(
             self.store, "classifier", config.feature_dim, config.num_classes, rng=rng
         )
         self._gap_name = self._pos_name + ".gap"
         self._proj_relu_name = self._pos_name + ".proj_relu"
-
-    def _build_blocks(self, in_c: int, rng: np.random.Generator) -> tuple:
-        """(posterior blocks in forward order, their output channel count)."""
-        raise NotImplementedError
 
     def bn_layers(self) -> list:
         return [u.bn for u in self.pre_fe + [u for b in self.blocks for u in b.units]]
@@ -214,23 +216,9 @@ class CModel(_Model):
 
     kind = "cloud"
     _pos_name = "c_pos_fe"
-
-    def _build_blocks(self, in_c, rng):
-        blocks: List[ResidualBlock] = []
-        for si, width in enumerate(self.config.c_stage_channels, start=1):
-            for bi in range(self.config.c_blocks_per_stage):
-                blocks.append(
-                    ResidualBlock(
-                        self.store,
-                        f"{self._pos_name}.stage{si}.block{bi + 1}",
-                        in_c,
-                        int(width),
-                        stride=2 if bi == 0 else 1,
-                        rng=rng,
-                    )
-                )
-                in_c = int(width)
-        return blocks, in_c
+    _block = ResidualBlock
+    _stage_field = "c_stage_channels"
+    _block_name = "c_pos_fe.stage{}.block1"
 
 
 class EModel(_Model):
@@ -238,17 +226,9 @@ class EModel(_Model):
 
     kind = "edge"
     _pos_name = "e_pos_fe"
-
-    def _build_blocks(self, in_c, rng):
-        blocks: List[DepthwiseSeparableBlock] = []
-        for si, width in enumerate(self.config.e_stage_channels, start=1):
-            blocks.append(
-                DepthwiseSeparableBlock(
-                    self.store, f"{self._pos_name}.stage{si}", in_c, int(width), stride=2, rng=rng
-                )
-            )
-            in_c = int(width)
-        return blocks, in_c
+    _block = DepthwiseSeparableBlock
+    _stage_field = "e_stage_channels"
+    _block_name = "e_pos_fe.stage{}"
 
 
 def build_model(config: ModelConfig, kind: str, seed: int):

@@ -202,6 +202,10 @@ MALFORMED = {
     "name_not_utf8": _sealed(
         _GOOD_MANIFEST, 1, struct.pack("<H", 1) + b"\xff" + struct.pack("<BI", 1, 1) + bytes(4)
     ),
+    "duplicate_name": _sealed(
+        _GOOD_MANIFEST, 2, 2 * (struct.pack("<H", 1) + b"w" + struct.pack("<BI", 1, 1) + bytes(4))
+    ),
+    "negative_seed": _sealed(b'{"kind":"cloud","seed":-1}'),
 }
 
 

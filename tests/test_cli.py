@@ -1,4 +1,7 @@
 import json
+import math
+import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,10 +9,10 @@ import pytest
 from edgediag import cli
 from edgediag.archive import load_archive, read_manifest, save_archive
 from edgediag.config import ExperimentConfig, default_config_text
-from edgediag.datagen import load_splits
-from edgediag.models import build_model, freeze_pre_fe, share_pre_fe
-from edgediag.training import transfer_edge, write_reports
-from test_archive import MALFORMED
+from edgediag.datagen import ConditionSpec, load_splits
+from edgediag.models import ModelConfig, build_model, freeze_pre_fe, share_pre_fe
+from edgediag.training import TrainConfig, transfer_edge, write_reports
+from test_archive import MALFORMED, _sealed
 
 TINY_CFG = """
 model.pre_fe_channels = 6
@@ -295,6 +298,44 @@ def test_unknown_model_kind_exit_5(workdir, tmp_path, capsys, command):
     assert "code=5" in err and "gizmo" in err
 
 
+def _first_entry_repeated(blob: bytes) -> bytes:
+    """The archive re-sealed with its first entry written twice in a row."""
+    mlen = struct.unpack("<I", blob[12:16])[0]
+    (count,) = struct.unpack("<I", blob[16 + mlen:20 + mlen])
+    entries = blob[20 + mlen:-4]
+    (nlen,) = struct.unpack("<H", entries[:2])
+    ndim = entries[2 + nlen]
+    dims = struct.unpack(f"<{ndim}I", entries[3 + nlen:3 + nlen + 4 * ndim])
+    first = entries[:3 + nlen + 4 * ndim + 4 * math.prod(dims)]
+    return _sealed(blob[16:16 + mlen], count + 1, first + entries)
+
+
+# CRC-valid cloud archives that keep the config's model hash but break a
+# rule of FORMAT.md; case: the error text that must name the breach
+INVALID_WEIGHTS = {
+    "repeated_entry": "entry 1 repeats the name 'pre_fe.conv1.weight'",
+    "negative_seed": "seed must be a non-negative integer, got -1",
+}
+
+
+@pytest.mark.parametrize("command", ["eval", "bench"])
+@pytest.mark.parametrize("case", sorted(INVALID_WEIGHTS))
+def test_invalid_weights_with_matching_hash_exit_5(workdir, tmp_path, capsys, command, case):
+    bad = tmp_path / "bad.edgewts"
+    if case == "negative_seed":
+        manifest = read_manifest(workdir["cloud"])
+        manifest.seed = -1
+        save_archive(load_archive(workdir["cloud"]), manifest, bad)
+    else:
+        bad.write_bytes(_first_entry_repeated(workdir["cloud"].read_bytes()))
+    argv = [command, "--config", str(workdir["cfg"]), "--weights", str(bad)]
+    argv += ["--data", str(workdir["data"])] if command == "eval" else ["--iters", "1"]
+    assert cli.main(argv) == cli.EXIT_ARCHIVE
+    err = capsys.readouterr().err.splitlines()
+    assert err[0].startswith(f"error stage={command} code=5: ")
+    assert INVALID_WEIGHTS[case] in err[0]
+
+
 @pytest.mark.filterwarnings("ignore:overflow encountered in cast:RuntimeWarning")
 @pytest.mark.parametrize("command", ["eval", "bench", "transfer"])
 def test_weights_with_non_finite_output_exit_5(workdir, tmp_path, capsys, command):
@@ -396,6 +437,41 @@ def test_reproduce_rejects_seed_count_below_one(workdir, tmp_path, capsys, count
     assert err[0] == f"error stage=reproduce code=2: --seeds must be >= 1, got {count}"
     assert sum(l.startswith("error ") for l in err) == 1
     assert not out.exists()
+
+
+def test_negative_run_seed_fails_before_any_work(tmp_path, capsys):
+    cfg_path = tmp_path / "bad.cfg"
+    cfg_path.write_text(TINY_CFG + "run.seed = -1\n")
+    out = tmp_path / "grid"
+    code = cli.main(["reproduce", "--config", str(cfg_path), "--seeds", "1", "--out", str(out)])
+    assert code == cli.EXIT_CONFIG
+    err = capsys.readouterr().err.splitlines()
+    assert err[0] == "error stage=reproduce code=2: run.seed must be >= 0, got -1"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["gen-data", "train-cloud", "transfer"])
+def test_negative_seed_option_fails_before_any_work(workdir, tmp_path, capsys, command):
+    out = tmp_path / "out"
+    trained = ["--out-weights", str(out / "w.edgewts"), "--metrics", str(out / "m.jsonl"),
+               "--data", str(workdir["data"])]
+    argv = [command, "--config", str(workdir["cfg"]), "--seed", "-1"] + {
+        "gen-data": ["--out", str(out)],
+        "train-cloud": trained,
+        "transfer": trained + ["--cloud-weights", str(workdir["cloud"])],
+    }[command]
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err.splitlines()
+    assert err[0] == f"error stage={command} code=2: --seed must be >= 0, got -1"
+    assert not out.exists()
+
+
+def test_schema_defaults_match_the_dataclass_defaults():
+    cfg = ExperimentConfig()
+    assert cfg.model_config() == ModelConfig()
+    assert cfg.transfer_train_config() == TrainConfig()
+    assert cfg.cloud_train_config() == replace(TrainConfig(), num_epoch=12)
+    assert [c.noise_sigma for c in cfg.conditions()] == [ConditionSpec.noise_sigma] * 2
 
 
 def test_default_config_roundtrips(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Every module of the package and its tests uses each name it imports,
-and every module's ``__all__`` lists exactly its public definitions."""
+every import of the package sits at module level, and every module's
+``__all__`` lists exactly its public definitions."""
 import ast
 import importlib
 import inspect
@@ -25,6 +26,18 @@ def test_no_unused_imports():
         }
         unused += [f"{path.relative_to(ROOT)}: {name}" for name in sorted(imported - used)]
     assert unused == []
+
+
+def test_package_imports_sit_at_module_level():
+    nested = []
+    for path in sorted(ROOT.glob("src/edgediag/*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        top = {id(node) for node in tree.body}
+        nested += [
+            f"{path.relative_to(ROOT)}:{node.lineno}" for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and id(node) not in top
+        ]
+    assert nested == []
 
 
 def test_all_lists_every_public_definition():
