@@ -6,6 +6,13 @@ fully deterministic: identical inputs produce identical bytes, and files
 are written atomically (temp file + rename). The complete byte layout is
 documented in FORMAT.md at the repository root.
 
+The writer streams each part to the temp file as it goes, folding it
+into a running CRC-32, and hands each payload over as a view of its
+float32 array, so saving builds no copy of the file. The reader makes
+one read of the file and parses views into it; each payload is copied
+once, into the array the loaded store holds, and ``read_manifest``
+copies none.
+
     magic           8 bytes  b"EDGEWTS1"
     version         u32      currently 1
     manifest_len    u32      length of the UTF-8 manifest JSON
@@ -140,37 +147,37 @@ class Manifest:
             )
 
 
-def _encode(store: ParamStore, manifest: Manifest) -> bytes:
-    parts = [MAGIC, struct.pack("<I", VERSION)]
+def _write(fh, store: ParamStore, manifest: Manifest) -> None:
+    """Stream the archive to ``fh`` under a running CRC-32; each payload
+    goes out as a view of its array, so no copy of the file is built."""
+    crc = 0
+
+    def put(part) -> None:
+        nonlocal crc
+        crc = zlib.crc32(part, crc)
+        fh.write(part)
+
     mjson = manifest.to_json().encode("utf-8")
-    parts.append(struct.pack("<I", len(mjson)))
-    parts.append(mjson)
     names = store.names()
-    parts.append(struct.pack("<I", len(names)))
+    put(MAGIC + struct.pack("<II", VERSION, len(mjson)) + mjson + struct.pack("<I", len(names)))
     for name in names:
         data = store[name].data
         nb = name.encode("utf-8")
         if len(nb) > 0xFFFF:
             raise ArchiveError(f"entry name too long: {name[:40]}...")
-        parts.append(struct.pack("<H", len(nb)))
-        parts.append(nb)
-        parts.append(struct.pack("<B", data.ndim))
-        for dim in data.shape:
-            parts.append(struct.pack("<I", dim))
-        parts.append(np.ascontiguousarray(data, dtype="<f4").tobytes())
-    body = b"".join(parts)
-    return body + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF)
+        put(struct.pack("<H", len(nb)) + nb + struct.pack(f"<B{data.ndim}I", data.ndim, *data.shape))
+        put(memoryview(np.ascontiguousarray(data, dtype="<f4")))
+    fh.write(struct.pack("<I", crc & 0xFFFFFFFF))
 
 
 def save_archive(store: ParamStore, manifest: Manifest, path) -> None:
     """Write atomically; byte output is a pure function of the inputs."""
-    blob = _encode(store, manifest)
     path = os.fspath(path)
     directory = os.path.dirname(path) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".edgewts-")
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(blob)
+            _write(fh, store, manifest)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -179,11 +186,13 @@ def save_archive(store: ParamStore, manifest: Manifest, path) -> None:
 
 
 class _Reader:
-    def __init__(self, blob: bytes):
+    """Cursor over a memoryview; ``take`` returns views, never copies."""
+
+    def __init__(self, blob: memoryview):
         self.blob = blob
         self.pos = 0
 
-    def take(self, n: int, what: str) -> bytes:
+    def take(self, n: int, what: str) -> memoryview:
         if self.pos + n > len(self.blob):
             raise TruncatedError(
                 f"file ends inside {what} (need {n} bytes at offset {self.pos})"
@@ -208,32 +217,37 @@ def _read_blob(path) -> bytes:
 
 
 def _parse(blob: bytes):
+    """The manifest and name -> read-only array views into ``blob``, in file order.
+
+    Checks run in order: magic, length, CRC, then structure.
+    """
     if len(blob) < len(MAGIC) + 4:
         raise TruncatedError("file shorter than the fixed header")
     if blob[:len(MAGIC)] != MAGIC:
         raise BadMagicError(f"bad magic {blob[:8]!r}, expected {MAGIC!r}")
     if len(blob) < len(MAGIC) + 8:
         raise TruncatedError("file ends before the checksum")
+    body = memoryview(blob)[:-4]
     stored = struct.unpack("<I", blob[-4:])[0]
-    actual = zlib.crc32(blob[:-4]) & 0xFFFFFFFF
+    actual = zlib.crc32(body) & 0xFFFFFFFF
     if stored != actual:
         raise CrcError(f"checksum mismatch: stored {stored:#010x}, actual {actual:#010x}")
-    rd = _Reader(blob[:-4])
+    rd = _Reader(body)
     rd.take(len(MAGIC), "magic")
     version = rd.u32("version")
     if version != VERSION:
         raise VersionError(f"unsupported archive version {version}")
     mlen = rd.u32("manifest length")
     try:
-        manifest = Manifest.from_json(rd.take(mlen, "manifest").decode("utf-8"))
+        manifest = Manifest.from_json(str(rd.take(mlen, "manifest"), "utf-8"))
     except (ValueError, UnicodeDecodeError) as err:
         raise TruncatedError(f"manifest does not parse: {err}") from None
     count = rd.u32("entry count")
-    entries = {}  # name -> array, in file order
+    entries = {}
     for i in range(count):
         nlen = rd.u16(f"entry {i} name length")
         try:
-            name = rd.take(nlen, f"entry {i} name").decode("utf-8")
+            name = str(rd.take(nlen, f"entry {i} name"), "utf-8")
         except UnicodeDecodeError:
             raise TruncatedError(f"entry {i} name is not UTF-8") from None
         if name in entries:
@@ -241,7 +255,7 @@ def _parse(blob: bytes):
         ndim = rd.u8(f"entry {i} rank")
         dims = tuple(rd.u32(f"entry {i} dim") for _ in range(ndim))
         payload = rd.take(4 * math.prod(dims), f"entry {i} payload")
-        entries[name] = np.frombuffer(payload, dtype="<f4").reshape(dims).copy()
+        entries[name] = np.frombuffer(payload, dtype="<f4").reshape(dims)
     if rd.pos != len(rd.blob):
         raise TruncatedError(f"{len(rd.blob) - rd.pos} trailing bytes after the last entry")
     return manifest, entries
@@ -256,7 +270,7 @@ def _store_from(entries) -> ParamStore:
     store = ParamStore()
     for name, arr in entries.items():
         trainable = not name.endswith(_NONTRAINABLE_SUFFIXES)
-        store.add(name, Tensor(arr), trainable=trainable)
+        store.add(name, Tensor(arr.copy()), trainable=trainable)  # the one copy of a payload
     return store
 
 

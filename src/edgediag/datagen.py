@@ -280,7 +280,7 @@ TARGET_COND_ID = 1
 def _stack(parts, role) -> SampleSet:
     """One SampleSet from (windows, label, condition id) groups, in order."""
     return SampleSet(
-        x=np.stack([w for windows, _, _ in parts for w in windows]).astype(np.float32),
+        x=np.stack([w for windows, _, _ in parts for w in windows]),  # float32 windows
         y=np.asarray([y for windows, y, _ in parts for _ in windows], dtype=np.int64),
         cond=np.asarray([c for windows, _, c in parts for _ in windows], dtype=np.int64),
         role=role,

@@ -17,7 +17,10 @@ alone (a feature output, say) touches only the ops above it. The loss
 may also be a weighted sum of several scalars, with the weights applied
 in float64 at the seeds. A tape may be replayed any number of times;
 replays are pure and return identical maps as long as nothing mutates
-tensor data.
+tensor data. Every consumer of a node has a higher id, so a node's
+float64 gradient is complete when the replay reaches it; the replay
+frees it once the node's rule has run, keeping only the targets'
+gradients to the end.
 
 A backward rule may return None for an input that does not require a
 gradient (the layers and ``lmmd`` do). A target whose tensor has
@@ -197,19 +200,21 @@ class Tape:
             target_ids.append(int(nid))
 
         # float64 accumulation buffers, one per reached node; a stored
-        # buffer may alias an op's output and is never written in place
+        # buffer may alias an op's output and is never written in place.
+        # All of a node's consumers have higher ids, so its buffer is
+        # complete when the replay reaches it and is dropped there unless
+        # the node is a target.
         buffers: dict[int, np.ndarray] = {}
         for t, weight in seeds:
             seed = np.full(self.entries[t.node].shape, float(weight), dtype=np.float64)
             buf = buffers.get(t.node)
             buffers[t.node] = seed if buf is None else buf + seed
+        keep = set(target_ids)
         top = max(buffers)
         for idx in range(top, min(target_ids, default=top), -1):
-            g = buffers.get(idx)
-            if g is None:
-                continue
+            g = buffers.get(idx) if idx in keep else buffers.pop(idx, None)
             entry = self.entries[idx]
-            if entry.backward_fn is None:
+            if g is None or entry.backward_fn is None:
                 continue
             contribs = entry.backward_fn(g)
             for input_id, contrib in zip(entry.inputs, contribs):

@@ -2,6 +2,7 @@ import hashlib
 import pathlib
 import re
 import struct
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -91,6 +92,42 @@ def test_default_model_archive_is_pinned(tmp_path, kind):
     path = tmp_path / "m.edgewts"
     save_archive(build_model(ModelConfig(), kind, 0).store, Manifest(kind=kind), path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == MODEL_ARCHIVE_SHA256[kind]
+
+
+# sha256 of the archive of the 24 MiB store below: streaming the parts
+# must write the same bytes as joining them
+BIG_STORE_SHA256 = "8ae690643ec7c6d37364e8bd0c04ef0bd1d4a52bc988cabb52fb8e81e1990d30"
+
+
+def _traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        out = fn(*args)
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_large_store_streams_without_whole_file_copies(tmp_path):
+    # the writer streams each payload straight from its array, and the
+    # reader copies each payload once, out of the one file-sized read
+    rng = np.random.default_rng(24)
+    store = ParamStore()
+    store.add("x", Tensor(rng.standard_normal((1024, 6, 32, 32), dtype=np.float32)),
+              trainable=False)
+    store.add("y", Tensor(rng.integers(0, 5, 1024).astype(np.float32)), trainable=False)
+    payload = sum(t.data.nbytes for _, t in store.items())
+    path = tmp_path / "big.edgewts"
+    _, save_peak = _traced_peak(save_archive, store, Manifest(kind="dataset", seed=24), path)
+    assert save_peak < 4 << 20
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == BIG_STORE_SHA256
+    loaded, load_peak = _traced_peak(load_archive, path)
+    assert load_peak < 2.2 * payload
+    assert loaded.names() == store.names()
+    for name in store.names():
+        assert loaded[name].data.tobytes() == store[name].data.tobytes()
+    manifest, manifest_peak = _traced_peak(read_manifest, path)
+    assert manifest.seed == 24 and manifest_peak < 1.1 * payload  # the read alone
 
 
 def test_save_is_deterministic(tmp_path):
@@ -213,8 +250,9 @@ MALFORMED = {
 def test_malformed_archive_is_truncated_error(tmp_path, case):
     path = tmp_path / "w.edgewts"
     path.write_bytes(MALFORMED[case])
-    with pytest.raises(TruncatedError):
-        load_archive(path)
+    for load in (load_archive, lambda p: load_subset(p, "w"), read_manifest):
+        with pytest.raises(TruncatedError):
+            load(path)
 
 
 def test_load_subset_filters_by_prefix(tmp_path):

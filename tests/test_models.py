@@ -7,9 +7,10 @@ from gradcheck import weighted_sum
 from edgediag import layers
 from edgediag.complexity import analyze
 from edgediag.layers import BuildError
+from edgediag.losses import SmoothingConfig, smoothed_cross_entropy
 from edgediag.models import ModelConfig, build_model, freeze_pre_fe, share_pre_fe
 from edgediag.tensor import NonFiniteError, Tape, Tensor, relu
-from edgediag.training import _batched_no_tape
+from edgediag.training import _batched_no_tape, one_hot
 
 CFG = ModelConfig()
 
@@ -293,6 +294,28 @@ def test_taped_cloud_forward_holds_no_patch_matrices():
     finally:
         tracemalloc.stop()
     assert held < 50 << 20
+
+
+def test_taped_cloud_train_step_peak_memory():
+    # the replay frees each node's float64 gradient once its rule has run,
+    # so a batch-32 step peaks near 66 MiB; holding every gradient until
+    # the pass returns peaks above 93 MiB
+    model = build_model(CFG, "cloud", seed=0)
+    model.set_training(True)
+    rng = np.random.default_rng(0)
+    x = Tensor(rng.standard_normal((32, *CFG.input_shape)).astype(np.float32))
+    y = one_hot(rng.integers(0, CFG.num_classes, 32), CFG.num_classes)
+    targets = [t for _, t in model.store.optimizable()]
+    tracemalloc.start()
+    try:
+        with Tape() as tape:
+            loss = smoothed_cross_entropy(model.forward_logits(x), y,
+                                          SmoothingConfig(0.1, CFG.num_classes))
+            tape.backward(loss, targets)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 80 << 20
 
 
 def test_frozen_pre_fe_fuses_while_posterior_trains(monkeypatch):

@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 
@@ -124,6 +126,43 @@ def test_backward_stops_at_lowest_target():
         full = tape.backward(loss, [x, b])
     assert calls == {"a": 1, "b": 1}
     assert short[b].data.tobytes() == full[b].data.tobytes()
+
+
+def _watched(name, x, refs, alive):
+    """Op x -> 2x whose rule notes which gradients earlier rules received
+    are still alive, then keeps a weak reference to its own."""
+
+    def bwd(g):
+        alive[name] = {other for other, ref in refs.items() if ref() is not None}
+        refs[name] = weakref.ref(g)
+        return (2.0 * g,)
+
+    return custom_op(name, (x,), 2.0 * x.data, bwd)
+
+
+def test_replay_frees_each_gradient_once_its_rule_has_run():
+    # the rules run d, c, b, a; b is a target, so its gradient outlives the
+    # replay, while c's and d's are freed as soon as the replay moves below
+    # them; the tape replays twice with the same frees and the same bytes
+    w = np.array([0.5, -1.25, 3.0])
+    refs, alive = {}, {}
+    with Tape() as tape:
+        x = Tensor([1.0, -2.0, 0.5], requires_grad=True)
+        a = _watched("a", x, refs, alive)
+        b = _watched("b", a, refs, alive)
+        c = _watched("c", b, refs, alive)
+        d = _watched("d", c, refs, alive)
+        loss = weighted_sum(d, w)
+        maps = []
+        for _ in range(2):
+            refs.clear()
+            maps.append(tape.backward(loss, [x, b]))
+            assert alive == {"d": set(), "c": set(), "b": set(), "a": {"b"}}
+    first, second = maps
+    assert first[b].data.tobytes() == (4.0 * w).astype(np.float32).tobytes()
+    assert first[x].data.tobytes() == (16.0 * w).astype(np.float32).tobytes()
+    for node in (x, b):
+        assert first[node].data.tobytes() == second[node].data.tobytes()
 
 
 def test_shared_node_gets_summed_gradient_and_replays_agree():
